@@ -9,18 +9,18 @@ a :class:`~repro.exec.ResilientExecutor` (timeout, retry, quarantine,
 journal), failed trials degrade to annotated partial results instead of
 aborting the grid, and a journalled sweep can be killed and resumed.
 
-All three drivers accept ``jobs=``: ``jobs=1`` (the default) is the
-serial code path, ``jobs=N`` fans trials out over a process pool
-(:mod:`repro.parallel`), and ``jobs=0`` auto-detects the core count.
-Seed derivation is identical in every mode, and parallel results are
-reassembled in serial order, so ``jobs`` never changes the output —
-only the wall clock.
+All three drivers build their trial specs and hand them to the one
+campaign path, :func:`repro.parallel.run_trials_resilient` (the first
+two through :func:`repro.parallel.run_trials`).  ``jobs=1`` (the default)
+runs the trials in-process, ``jobs=N`` fans them out over a supervised
+process pool, and ``jobs=0`` auto-detects the core count.  Seed
+derivation is identical in every mode, and results are reassembled in
+trial order, so ``jobs`` never changes the output — only the wall clock.
 
 They also thread the observability layer (:mod:`repro.obs`):
-``progress=True`` turns on a stderr heartbeat, ``timers=`` profiles the
-pool's dispatch/reassembly, and ``resilient_sweep(manifest=...)`` embeds
-a provenance manifest in the checkpoint journal.  None of these affect
-results.
+``progress=True`` turns on a stderr heartbeat, and
+``resilient_sweep(manifest=...)`` embeds a provenance manifest in the
+checkpoint journal.  Neither affects results.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from ..obs.progress import ProgressReporter, ProgressSpec, ensure_progress
 from ..obs.provenance import Manifest
-from ..obs.timing import PhaseTimers
 from ..rng import seed_sequence
 
 #: A task maps (seed, **point) to an arbitrary result object.
@@ -44,7 +43,6 @@ def monte_carlo(
     master_seed: int = 0,
     jobs: int = 1,
     progress: ProgressSpec = False,
-    timers: Optional[PhaseTimers] = None,
     backend: Optional[str] = None,
     **point: Any,
 ) -> List[Any]:
@@ -52,34 +50,22 @@ def monte_carlo(
 
     ``jobs`` > 1 dispatches the trials to a process pool; the returned
     list is identical to the serial one (same derived seeds, same order).
-    ``progress=True`` emits a stderr heartbeat; ``timers`` profiles the
-    pool's dispatch/reassembly phases (parallel mode only).  ``backend``
-    (e.g. ``"vec"``) is forwarded to every trial; backends never change
-    results, so it rides outside the grid point.
+    ``progress=True`` emits a stderr heartbeat.  ``backend`` (e.g.
+    ``"vec"``) is forwarded to every trial; backends never change
+    results, so it rides outside the grid point.  A failing trial raises
+    :class:`~repro.errors.TrialFailed`.
     """
-    from ..parallel import TrialSpec, resolve_jobs, run_trials
+    from ..parallel import TrialSpec
 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    seeds = seed_sequence(master_seed, trials)
-    if resolve_jobs(jobs) == 1:
-        owns_reporter = not isinstance(progress, ProgressReporter)
-        reporter = ensure_progress(progress, total=trials, label="monte-carlo")
-        kwargs = dict(point) if backend is None else {**point, "backend": backend}
-        results = []
-        for seed in seeds:
-            results.append(task(seed=seed, **kwargs))
-            reporter.advance(completed=1, attempted=1)
-        if owns_reporter:
-            reporter.finish()
-        return results
     specs = [
         TrialSpec(
             index=index, task=task, seed=seed, point=dict(point), backend=backend
         )
-        for index, seed in enumerate(seeds)
+        for index, seed in enumerate(seed_sequence(master_seed, trials))
     ]
-    return run_trials(specs, jobs=jobs, timers=timers, progress=progress)
+    return _run_labelled(specs, jobs, progress, "monte-carlo")
 
 
 def sweep(
@@ -89,7 +75,6 @@ def sweep(
     master_seed: int = 0,
     jobs: int = 1,
     progress: ProgressSpec = False,
-    timers: Optional[PhaseTimers] = None,
     backend: Optional[str] = None,
 ) -> List[Tuple[Dict[str, Any], List[Any]]]:
     """Cross the ``grid`` and Monte-Carlo each point.
@@ -98,50 +83,34 @@ def sweep(
     grid point gets its own deterministic seed stream, so adding points
     does not reshuffle the others.
 
-    ``jobs`` > 1 flattens the whole grid × trials campaign into one
-    trial list and dispatches it to a process pool, so workers stay busy
+    The whole grid × trials campaign is one trial list
+    (:func:`enumerate_sweep_specs`), so at ``jobs`` > 1 workers stay busy
     across point boundaries; the rows come back in exact grid order.
-    ``progress``/``timers`` as in :func:`monte_carlo`, covering the
-    whole grid with one heartbeat.
+    ``progress`` as in :func:`monte_carlo`, covering the whole grid with
+    one heartbeat.
     """
-    from ..parallel import resolve_jobs, run_trials
-
-    if not grid:
-        raise ValueError("grid must contain at least one axis")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    names = list(grid)
-    combos = list(itertools.product(*(grid[k] for k in names)))
-    if resolve_jobs(jobs) == 1:
-        owns_reporter = not isinstance(progress, ProgressReporter)
-        reporter = ensure_progress(
-            progress, total=len(combos) * trials, label="sweep"
-        )
-        rows: List[Tuple[Dict[str, Any], List[Any]]] = []
-        for combo_index, combo in enumerate(combos):
-            point = dict(zip(names, combo))
-            results = monte_carlo(
-                task,
-                trials,
-                master_seed=master_seed + combo_index * 1_000_003,
-                progress=reporter,
-                backend=backend,
-                **point,
-            )
-            rows.append((point, results))
-        if owns_reporter:
-            reporter.finish()
-        return rows
-
-    points = [dict(zip(names, combo)) for combo in combos]
     specs = enumerate_sweep_specs(
         task, grid, trials, master_seed=master_seed, backend=backend
     )
-    flat = run_trials(specs, jobs=jobs, timers=timers, progress=progress)
+    flat = _run_labelled(specs, jobs, progress, "sweep")
     return [
         (point, flat[combo_index * trials : (combo_index + 1) * trials])
-        for combo_index, point in enumerate(points)
+        for combo_index, point in enumerate(grid_points(grid))
     ]
+
+
+def _run_labelled(
+    specs: List[Any], jobs: int, progress: ProgressSpec, label: str
+) -> List[Any]:
+    """:func:`~repro.parallel.run_trials` under a heartbeat named ``label``."""
+    from ..parallel import run_trials
+
+    owns_reporter = not isinstance(progress, ProgressReporter)
+    reporter = ensure_progress(progress, total=len(specs), label=label)
+    values = run_trials(specs, jobs=jobs, progress=reporter)
+    if owns_reporter:
+        reporter.finish()
+    return values
 
 
 @dataclass
@@ -207,14 +176,8 @@ class ResilientSweepResult:
             "completed": self.completed,
             "failed": self.failed,
         }
-        if self.supervisor is not None and self.supervisor.eventful:
-            counts.update(
-                {
-                    key: value
-                    for key, value in self.supervisor.as_dict().items()
-                    if isinstance(value, int) and value
-                }
-            )
+        if self.supervisor is not None:
+            counts.update(self.supervisor.incident_counts())
         return counts
 
 
@@ -252,10 +215,9 @@ def enumerate_sweep_specs(
 
     This is the sweep's seed-derivation contract in one place: point
     ``i`` seeds its trial stream from ``master_seed + i * 1_000_003``,
-    and every spec carries the :func:`_trial_key` journal key.  Serial,
-    parallel, resilient, and served campaigns all enumerate through
-    here, which is what makes a cache entry computed by one mode valid
-    for every other.
+    and every spec carries the :func:`_trial_key` journal key.  Plain,
+    resilient, and served campaigns all enumerate through here, which is
+    what makes a cache entry computed by one mode valid for every other.
     """
     from ..parallel import TrialSpec
 
@@ -341,25 +303,28 @@ def resilient_sweep(
             timeout_seconds=timeout_seconds,
             retry=RetryPolicy(retries=retries),
         )
+    owned_journal = None
     if journal_path is not None and executor.journal is None:
-        executor.journal = Journal(journal_path)
-    if resume:
-        executor.load_completed()
-    elif executor.journal is not None:
-        executor.journal.clear()
-    if manifest is not None:
-        executor.write_manifest(manifest)
-
-    points = grid_points(grid)
-    specs = enumerate_sweep_specs(
-        task, grid, trials, master_seed=master_seed, backend=backend
-    )
-    trial_outcomes = run_trials_resilient(
-        specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
-    )
+        executor.journal = owned_journal = Journal(journal_path)
+    try:
+        if resume:
+            executor.load_completed()
+        elif executor.journal is not None:
+            executor.journal.clear()
+        if manifest is not None:
+            executor.write_manifest(manifest)
+        specs = enumerate_sweep_specs(
+            task, grid, trials, master_seed=master_seed, backend=backend
+        )
+        trial_outcomes = run_trials_resilient(
+            specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
+        )
+    finally:
+        if owned_journal is not None:
+            owned_journal.close()
 
     outcome = ResilientSweepResult(supervisor=executor.last_supervisor_stats)
-    for combo_index, point in enumerate(points):
+    for combo_index, point in enumerate(grid_points(grid)):
         sweep_point = SweepPoint(point=point)
         for trial_outcome in trial_outcomes[
             combo_index * trials : (combo_index + 1) * trials

@@ -38,7 +38,7 @@ from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
 from ..core.results import AgreementResult
 from ..core.runner import agree, elect_leader, make_inputs
 from ..core.schedule import AgreementSchedule, LeaderElectionSchedule
-from ..errors import ConfigurationError, ReproError, TrialFailed
+from ..errors import ConfigurationError, ReproError
 from ..faults.adversary import Adversary
 from ..faults.byzantine import AGREEMENT_MODES, ELECTION_MODES
 from ..obs.progress import ProgressSpec, ensure_progress
@@ -478,12 +478,15 @@ def fuzz(
     Failures are shrunk to minimal reproducers unless
     ``shrink_failures=False``.
 
-    ``jobs`` > 1 shards the seed stream over a process pool.  Seed
-    derivation is identical to serial (so every failing case replays
-    with ``jobs=1``), failures are reported in serial trial order, and
-    shrinking always happens in the parent.  In budget mode parallel
-    trials are dispatched in waves of ``jobs`` seed indices, with the
-    budget checked between waves.
+    Trials run through :func:`repro.parallel.run_trials_resilient`;
+    ``jobs`` > 1 shards the seed stream over a supervised process pool,
+    and each trial is journalled as soon as it and every earlier one
+    have settled.  Seed derivation does not depend on ``jobs`` (so every
+    failing case replays with ``jobs=1``), failures are reported in
+    trial order, and shrinking always happens in the parent.  In budget mode trials are
+    dispatched in waves of ``jobs`` seed indices, with the budget checked
+    between waves.  A trial that raises outside the oracle net stops the
+    campaign with :class:`~repro.errors.TrialFailed`.
 
     Observability: ``progress=True`` emits a stderr heartbeat;
     ``journal`` (a path or :class:`~repro.exec.Journal`) records one
@@ -498,13 +501,20 @@ def fuzz(
     if not scenarios:
         raise ConfigurationError("need at least one scenario")
     from ..exec.journal import Journal
-    from ..parallel import resolve_jobs
+    from ..exec import ResilientExecutor, TrialOutcome
+    from ..parallel import (
+        TrialSpec,
+        raise_for_failure,
+        resolve_jobs,
+        run_trials_resilient,
+    )
 
     workers = resolve_jobs(jobs)
     report = FuzzReport()
     start = time.monotonic()
+    owned_journal = None
     if journal is not None and not isinstance(journal, Journal):
-        journal = Journal(journal)
+        journal = owned_journal = Journal(journal)
     if journal is not None:
         journal.clear()
         if manifest is not None:
@@ -561,42 +571,45 @@ def fuzz(
         )
 
     if workers > 1:
-        from ..parallel import TrialSpec, run_trials
-
         reporter.set_workers(workers)
 
-        def run_wave(indices: Sequence[int]) -> None:
-            pairs = [
-                (scenario, derive_seed(master_seed, "fuzz", scenario.protocol, index))
-                for index in indices
-                for scenario in scenarios
-            ]
-            specs = [
-                TrialSpec(
-                    index=spec_index,
-                    task=_fuzz_trial,
-                    seed=trial_seed,
-                    point={"scenario": scenario.to_dict(), "config": config},
-                )
-                for spec_index, (scenario, trial_seed) in enumerate(pairs)
-            ]
-            try:
-                payloads = run_trials(specs, jobs=workers)
-            except TrialFailed:
-                # Pool-level failure (a worker died, or a trial raised
-                # outside the oracle net): redo the wave serially so the
-                # campaign keeps its seed-for-seed accounting instead of
-                # dying mid-fuzz.  A deterministic trial error reproduces
-                # here with full context, exactly as under jobs=1.
-                payloads = [spec.run() for spec in specs]
-            for (scenario, trial_seed), payload in zip(pairs, payloads):
-                case = (
-                    None
-                    if payload is None
-                    else shrink(FuzzCase.from_dict(payload))
-                )
-                account(scenario, trial_seed, case)
+    def run_wave(indices: Sequence[int]) -> None:
+        pairs = [
+            (scenario, derive_seed(master_seed, "fuzz", scenario.protocol, index))
+            for index in indices
+            for scenario in scenarios
+        ]
+        specs = [
+            TrialSpec(
+                index=spec_index,
+                task=_fuzz_trial,
+                seed=trial_seed,
+                point={"scenario": scenario.to_dict(), "config": config},
+            )
+            for spec_index, (scenario, trial_seed) in enumerate(pairs)
+        ]
+        # Account each trial once it and every earlier one have settled,
+        # so the journal and heartbeat keep up with the run.
+        ready: Dict[int, Any] = {}
+        next_index = 0
 
+        def settle(spec: TrialSpec, outcome: TrialOutcome) -> None:
+            nonlocal next_index
+            raise_for_failure(spec, outcome)
+            ready[spec.index] = outcome.value
+            while next_index in ready:
+                payload = ready.pop(next_index)
+                case = None if payload is None else FuzzCase.from_dict(payload)
+                account(*pairs[next_index], None if case is None else shrink(case))
+                next_index += 1
+
+        run_trials_resilient(
+            specs, workers, executor=ResilientExecutor(), on_outcome=settle
+        )
+
+    # Budget mode runs waves of ``workers`` seed indices (one index at
+    # jobs=1) and checks the budget between waves.
+    try:
         if budget_seconds is None:
             run_wave(range(seeds))
         else:
@@ -604,22 +617,9 @@ def fuzz(
             while index == 0 or time.monotonic() - start < budget_seconds:
                 run_wave(range(index, index + workers))
                 index += workers
-        report.elapsed_seconds = time.monotonic() - start
-        reporter.finish()
-        return report
-
-    index = 0
-    while True:
-        if budget_seconds is None:
-            if index >= seeds:
-                break
-        elif index > 0 and time.monotonic() - start >= budget_seconds:
-            break
-        for scenario in scenarios:
-            trial_seed = derive_seed(master_seed, "fuzz", scenario.protocol, index)
-            case = fuzz_one(scenario, trial_seed, config=config)
-            account(scenario, trial_seed, None if case is None else shrink(case))
-        index += 1
+    finally:
+        if owned_journal is not None:
+            owned_journal.close()
     report.elapsed_seconds = time.monotonic() - start
     reporter.finish()
     return report

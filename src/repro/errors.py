@@ -35,11 +35,11 @@ class TrialFailed(ReproError):
     """A harness trial raised (or kept raising after retries).
 
     Wraps the underlying exception; :attr:`attempts` counts how many times
-    the trial was tried before giving up.  When the failure crossed a
-    process boundary the wrapper also carries *where* it happened:
+    the trial was tried before giving up.  When the failure ended a
+    campaign the wrapper also carries *where* it happened:
     :attr:`trial_index` (position in the campaign), :attr:`spec` (the
     :class:`~repro.parallel.spec.TrialSpec`, when known), and
-    :attr:`worker_pid` (the pool worker that ran it).
+    :attr:`worker_pid` (the process that ran it).
     """
 
     def __init__(

@@ -20,7 +20,9 @@ of dying with the first bad configuration.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -66,6 +68,13 @@ class TrialOutcome:
     value: Any = None
     error: Optional[str] = None
     elapsed_seconds: float = 0.0
+    #: Pid of the process that ran the trial (``None`` when nothing ran).
+    #: Diagnostics only: it stays out of :meth:`journal_record`, so
+    #: journals and streams do not depend on which worker ran what.
+    worker_pid: Optional[int] = None
+    #: Formatted traceback of the last failed attempt (``None`` unless
+    #: the trial raised).  Diagnostics only, like ``worker_pid``.
+    traceback: Optional[str] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -162,6 +171,11 @@ class ResilientExecutor:
         return len(self.completed)
 
     # -- execution -------------------------------------------------------
+    #
+    # A trial's life is triage -> attempt -> settle.  ``triage`` and
+    # ``settle`` own the campaign state (resume index, quarantine,
+    # journal) and run in the parent; ``attempt`` touches none of it, so
+    # a pool worker can run it.  ``run_trial`` is all three in-process.
 
     def run_trial(
         self,
@@ -171,10 +185,22 @@ class ResilientExecutor:
         **kwargs: Any,
     ) -> TrialOutcome:
         """Execute ``task(seed=..., **kwargs)`` under the full safety net."""
+        outcome = self.triage(key, seed)
+        if outcome is None:
+            outcome = self.attempt(
+                lambda attempt_seed: task(seed=attempt_seed, **kwargs), key, seed
+            )
+        self.settle(outcome)
+        return outcome
+
+    def triage(self, key: str, seed: int) -> Optional[TrialOutcome]:
+        """The outcome of a trial that must not run, else ``None``.
+
+        A key finished in a previous (killed) run is answered from the
+        journal; a quarantined key is skipped.
+        """
         record = self.completed.get(key)
         if record is not None:
-            # Finished in a previous (killed) run: hand back the journalled
-            # value without re-executing anything.
             return TrialOutcome(
                 key=key,
                 seed=int(record.get("seed", seed)),
@@ -183,13 +209,20 @@ class ResilientExecutor:
                 value=record.get("value"),
             )
         if self.quarantine.blocks(key):
-            outcome = TrialOutcome(
+            return TrialOutcome(
                 key=key, seed=seed, status=QUARANTINED, attempts=0,
                 error="config quarantined after repeated failures",
             )
-            self._journal(outcome)
-            return outcome
+        return None
 
+    def attempt(
+        self, call: Callable[[int], Any], key: str, seed: int
+    ) -> TrialOutcome:
+        """Run ``call(seed)`` under the timeout and the retry ladder.
+
+        Never raises for a trial error, and reads or writes no campaign
+        state.  The outcome records the pid of the process that ran it.
+        """
         started = time.monotonic()
         last_error: Optional[BaseException] = None
         timed_out = False
@@ -199,38 +232,46 @@ class ResilientExecutor:
                 self.retry.sleep(self.retry.delay(attempt))
             attempts = attempt + 1
             try:
-                value = call_with_timeout(
-                    task, self.timeout_seconds, seed=attempt_seed, **kwargs
-                )
+                value = call_with_timeout(call, self.timeout_seconds, attempt_seed)
             except TrialTimeout as exc:
                 last_error, timed_out = exc, True
             except Exception as exc:  # noqa: BLE001 - the whole point
                 last_error, timed_out = exc, False
             else:
-                self.quarantine.record_success(key)
-                outcome = TrialOutcome(
+                return TrialOutcome(
                     key=key,
                     seed=attempt_seed,
                     status=OK,
                     attempts=attempts,
                     value=value,
                     elapsed_seconds=time.monotonic() - started,
+                    worker_pid=os.getpid(),
                 )
-                self._journal(outcome)
-                return outcome
-
-        self.quarantine.record_failure(key)
-        outcome = TrialOutcome(
+        return TrialOutcome(
             key=key,
             seed=seed,
             status=TIMEOUT if timed_out else FAILED,
             attempts=attempts,
             error=f"{type(last_error).__name__}: {last_error}",
+            traceback="".join(traceback.format_exception(
+                type(last_error), last_error, last_error.__traceback__
+            )),
             elapsed_seconds=time.monotonic() - started,
+            worker_pid=os.getpid(),
         )
-        self._journal(outcome)
-        return outcome
 
-    def _journal(self, outcome: TrialOutcome) -> None:
+    def settle(self, outcome: TrialOutcome) -> None:
+        """Feed a final outcome back: quarantine strikes, then the journal.
+
+        Resumed outcomes are already in the journal; a quarantined one
+        is journalled but adds no strike.
+        """
+        if outcome.status == RESUMED:
+            return
+        if outcome.status != QUARANTINED:
+            if outcome.ok:
+                self.quarantine.record_success(outcome.key)
+            else:
+                self.quarantine.record_failure(outcome.key)
         if self.journal is not None:
             self.journal.append(outcome.journal_record(self.serialize))

@@ -188,22 +188,6 @@ def run_experiments_resilient(
     from ..exec import Journal, ResilientExecutor, RetryPolicy
     from ..parallel import TrialSpec, resolve_jobs, run_trials_resilient
 
-    executor = ResilientExecutor(
-        timeout_seconds=timeout_seconds,
-        retry=RetryPolicy(retries=retries),
-        serialize=lambda report: report.to_dict()
-        if isinstance(report, ExperimentReport)
-        else report,
-    )
-    if journal_path is not None:
-        executor.journal = Journal(journal_path)
-    if resume:
-        executor.load_completed()
-    elif executor.journal is not None:
-        executor.journal.clear()
-    if manifest is not None:
-        executor.write_manifest(manifest)
-
     # Workers must look experiments up by id (runner callables may not
     # pickle); serially the experiment object runs directly, which also
     # covers ad-hoc experiments that are not in the registry.
@@ -230,9 +214,29 @@ def run_experiments_resilient(
             )
             for index, experiment in enumerate(experiments)
         ]
-    outcomes = run_trials_resilient(
-        specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
+
+    executor = ResilientExecutor(
+        timeout_seconds=timeout_seconds,
+        retry=RetryPolicy(retries=retries),
+        serialize=lambda report: report.to_dict()
+        if isinstance(report, ExperimentReport)
+        else report,
     )
+    if journal_path is not None:
+        executor.journal = Journal(journal_path)
+    try:
+        if resume:
+            executor.load_completed()
+        elif executor.journal is not None:
+            executor.journal.clear()
+        if manifest is not None:
+            executor.write_manifest(manifest)
+        outcomes = run_trials_resilient(
+            specs, jobs=jobs, executor=executor, progress=progress, shutdown=shutdown
+        )
+    finally:
+        if executor.journal is not None:
+            executor.journal.close()
 
     reports: List[ExperimentReport] = []
     counts = {"attempted": 0, "completed": 0, "failed": 0}
@@ -248,13 +252,6 @@ def run_experiments_resilient(
         else:
             counts["failed"] += 1
             reports.append(_failure_report(experiment, outcome))
-    stats = executor.last_supervisor_stats
-    if stats is not None and stats.eventful:
-        counts.update(
-            {
-                key: value
-                for key, value in stats.as_dict().items()
-                if isinstance(value, int) and value
-            }
-        )
+    if executor.last_supervisor_stats is not None:
+        counts.update(executor.last_supervisor_stats.incident_counts())
     return reports, counts

@@ -10,7 +10,7 @@ engine, sweeps, fuzzer, pool, and CLI thread through:
   journals;
 * :mod:`repro.obs.timing` — :class:`PhaseTimers` with a near-zero-cost
   disabled path, instrumenting the engine's step/transmit/crash/deliver
-  round phases and the pool's dispatch/reassembly;
+  round phases;
 * :mod:`repro.obs.progress` — an opt-in stderr heartbeat
   (:class:`ProgressReporter`) with throughput, ETA, retry/quarantine
   counts, and worker utilisation;
@@ -46,8 +46,6 @@ from .timing import (
     NULL_TIMERS,
     PHASE_CRASH,
     PHASE_DELIVER,
-    PHASE_POOL_DISPATCH,
-    PHASE_POOL_REASSEMBLY,
     PHASE_STEP,
     PHASE_TRANSMIT,
     PhaseTimers,
@@ -62,8 +60,6 @@ __all__ = [
     "NULL_TIMERS",
     "PHASE_CRASH",
     "PHASE_DELIVER",
-    "PHASE_POOL_DISPATCH",
-    "PHASE_POOL_REASSEMBLY",
     "PHASE_STEP",
     "PHASE_TRANSMIT",
     "PhaseTimers",

@@ -2,9 +2,7 @@
 
 :class:`PhaseTimers` accumulates wall-clock seconds per named *phase*.
 The engine instruments its four round phases (:data:`PHASE_STEP`,
-:data:`PHASE_TRANSMIT`, :data:`PHASE_CRASH`, :data:`PHASE_DELIVER`) and
-the process pool its dispatch/reassembly phases
-(:data:`PHASE_POOL_DISPATCH`, :data:`PHASE_POOL_REASSEMBLY`).
+:data:`PHASE_TRANSMIT`, :data:`PHASE_CRASH`, :data:`PHASE_DELIVER`).
 
 The no-op path is load-bearing: timers default to *disabled*, hot loops
 gate every ``perf_counter`` call on the single :attr:`PhaseTimers.enabled`
@@ -30,10 +28,6 @@ PHASE_STEP = "step"
 PHASE_TRANSMIT = "transmit"
 PHASE_CRASH = "crash"
 PHASE_DELIVER = "deliver"
-
-#: Process-pool phases (see :mod:`repro.parallel.pool`).
-PHASE_POOL_DISPATCH = "pool.dispatch"
-PHASE_POOL_REASSEMBLY = "pool.reassembly"
 
 #: The engine's four round phases, in execution order.
 ENGINE_PHASES = (PHASE_STEP, PHASE_TRANSMIT, PHASE_CRASH, PHASE_DELIVER)

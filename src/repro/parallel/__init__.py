@@ -8,6 +8,7 @@ seed — same derived seed streams, results reassembled by trial index.
 from .pool import (
     OutcomeHook,
     default_chunk_size,
+    raise_for_failure,
     resolve_jobs,
     run_trials,
     run_trials_resilient,
@@ -35,6 +36,7 @@ __all__ = [
     "default_chunk_size",
     "election_trial",
     "is_supervisor_record",
+    "raise_for_failure",
     "resolve_jobs",
     "resolve_task",
     "run_trials",

@@ -1,57 +1,48 @@
-"""The shared-nothing process-pool trial scheduler.
+"""The campaign scheduler: one path for every Monte-Carlo campaign.
 
 Trials are described by picklable :class:`~repro.parallel.spec.TrialSpec`
-objects, dispatched to a ``concurrent.futures.ProcessPoolExecutor`` in
-contiguous chunks, executed by warm, reused worker processes, and
-reassembled **by trial index** — so the output of a parallel campaign is
-exactly the output of the serial one, independent of worker timing.
+objects and reassembled **by trial index** — so the output of a parallel
+campaign is exactly the output of the serial one, independent of worker
+timing.
 
 Determinism contract
 --------------------
 
 * Seeds are derived *before* dispatch (the caller enumerates the same
-  ``seed_sequence`` stream it would use serially).
+  ``seed_sequence`` stream whatever ``jobs`` is).
 * Workers share nothing; each trial is a pure function of its spec.
 * Results are placed at ``spec.index``; chunking and completion order
   are invisible in the output.
 
-Two entry points:
+Every campaign runs through :func:`run_trials_resilient`, in three steps:
 
-* :func:`run_trials` — plain mode, mirroring serial ``monte_carlo``: the
-  first trial exception propagates to the caller.
-* :func:`run_trials_resilient` — every trial runs under the
-  :mod:`repro.exec` safety net *inside its worker* (per-trial SIGALRM
-  timeout + derived-seed retries), while quarantine consultation, resume
-  lookups, and JSONL journal writes stay in the parent, which serialises
-  them (one writer, no cross-process file races).
+1. **triage** in the parent — resume and quarantine answer the trials
+   that must not run;
+2. **dispatch** — in-process when ``jobs`` is 1 (or the whole campaign
+   is one trial), otherwise in contiguous chunks through a
+   :class:`PoolSupervisor` whose workers run each trial under the
+   executor's timeout and retry policy.  The choice never depends on
+   how many trials triage left, so a resumed trial that kills its
+   process is still caught by the supervisor;
+3. **settle** in the parent — quarantine feedback, the journal (one
+   writer, no cross-process file races), then ``on_outcome``.
+
+:func:`run_trials` is the same path with no timeout, retries or journal,
+stopping at the first failed trial.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from concurrent.futures.process import BrokenProcessPool
+import time
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignInterrupted, ConfigurationError, TrialFailed
-from ..exec import (
-    FAILED,
-    QUARANTINED,
-    RESUMED,
-    ResilientExecutor,
-    RetryPolicy,
-    TrialOutcome,
-)
+from ..exec import FAILED, QUARANTINED, ResilientExecutor, RetryPolicy, TrialOutcome
 from ..obs.progress import ProgressReporter, ProgressSpec, ensure_progress
-from ..obs.timing import (
-    NULL_TIMERS,
-    PHASE_POOL_DISPATCH,
-    PHASE_POOL_REASSEMBLY,
-    PhaseTimers,
-)
-from .spec import TrialSpec, resolve_task
+from .spec import TrialSpec
 from .supervisor import (
     GracefulShutdown,
     PoolSupervisor,
@@ -103,80 +94,21 @@ def _check_picklable(specs: Sequence[TrialSpec]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution (module-level so the pool can pickle them)
+# Worker-side execution (module-level so the pool can pickle it)
 # ----------------------------------------------------------------------
 
-#: Per-worker executor cache: one ResilientExecutor per distinct
-#: (timeout, retries) config, reused across every chunk the worker runs.
-_WORKER_EXECUTORS: Dict[Tuple[Optional[float], int], ResilientExecutor] = {}
 
-
-class _WorkerTrialError(Exception):
-    """Worker-side envelope for a plain-mode trial exception.
-
-    Raised inside the worker, pickled across the process boundary, and
-    unwrapped by the parent into a :class:`~repro.errors.TrialFailed`
-    that says *which* trial failed *where*.  All constructor arguments go
-    through ``super().__init__`` so the exception survives pickling.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        key: str,
-        worker_pid: int,
-        error_type: str,
-        error_message: str,
-    ) -> None:
-        super().__init__(index, key, worker_pid, error_type, error_message)
-        self.index = index
-        self.key = key
-        self.worker_pid = worker_pid
-        self.error_type = error_type
-        self.error_message = error_message
-
-
-def _run_chunk(chunk: List[TrialSpec]) -> List[Tuple[int, Any]]:
-    """Plain worker: run each spec; wrap the first exception with context."""
-    results: List[Tuple[int, Any]] = []
-    for spec in chunk:
-        try:
-            results.append((spec.index, spec.run()))
-        except Exception as exc:
-            raise _WorkerTrialError(
-                spec.index,
-                spec.key or f"trial[{spec.index}]",
-                os.getpid(),
-                type(exc).__name__,
-                str(exc),
-            ) from exc
-    return results
-
-
-def _run_chunk_resilient(
+def _run_chunk(
     chunk: List[TrialSpec],
     timeout_seconds: Optional[float],
-    retries: int,
+    retry: RetryPolicy,
 ) -> List[Tuple[int, TrialOutcome]]:
-    """Resilient worker: every trial under timeout/retry, never raising."""
-    config = (timeout_seconds, retries)
-    executor = _WORKER_EXECUTORS.get(config)
-    if executor is None:
-        executor = ResilientExecutor(
-            timeout_seconds=timeout_seconds,
-            retry=RetryPolicy(retries=retries),
-        )
-        _WORKER_EXECUTORS[config] = executor
-    outcomes: List[Tuple[int, TrialOutcome]] = []
-    for spec in chunk:
-        outcome = executor.run_trial(
-            resolve_task(spec.task),
-            key=spec.key or f"trial[{spec.index}]",
-            seed=spec.seed,
-            **spec.point,
-        )
-        outcomes.append((spec.index, outcome))
-    return outcomes
+    """Pool worker: attempt every trial of ``chunk``, never raising."""
+    executor = ResilientExecutor(timeout_seconds=timeout_seconds, retry=retry)
+    return [
+        (spec.index, executor.attempt(spec.run, spec.journal_key, spec.seed))
+        for spec in chunk
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -189,92 +121,54 @@ def run_trials(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     *,
-    timers: Optional[PhaseTimers] = None,
     progress: ProgressSpec = False,
 ) -> List[Any]:
-    """Run ``specs`` and return their results in index order.
+    """Run ``specs`` and return their values in index order.
 
-    With ``jobs`` resolving to 1 (or a single spec) this is a plain
-    serial loop — byte-for-byte today's behaviour, trial exceptions
-    propagating raw.  Otherwise chunks are dispatched to a process pool
-    and results reassembled by index; the first trial exception is
-    re-raised as a :class:`~repro.errors.TrialFailed` carrying the trial
-    index, its spec, and the worker pid (the raw exception stays
-    reachable via ``__cause__``), after the executor is shut down cleanly
-    with all sibling chunks cancelled.
-
-    ``timers`` (a :class:`~repro.obs.PhaseTimers`) profiles the parent's
-    two pool phases — chunk dispatch and result reassembly; ``progress``
-    turns on a stderr heartbeat (see :mod:`repro.obs.progress`).
-    Neither affects results.
+    A thin wrapper over :func:`run_trials_resilient` with no timeout,
+    retries or journal.  The first failed trial stops the campaign with
+    a :class:`~repro.errors.TrialFailed` carrying the trial index, its
+    spec, and the pid of the process that ran it — the same at every
+    ``jobs``.  At ``jobs`` > 1 a killed worker is redispatched by the
+    supervisor instead of ending the campaign.  ``progress`` turns on a
+    stderr heartbeat (see :mod:`repro.obs.progress`).
     """
-    jobs = resolve_jobs(jobs)
-    timers = timers if timers is not None else NULL_TIMERS
-    # A caller-supplied reporter is shared across layers: the caller
-    # owns its lifetime, so only a locally-built one gets finish() here.
-    owns_reporter = not isinstance(progress, ProgressReporter)
-    reporter = ensure_progress(progress, total=len(specs), label="trials")
-    if jobs == 1 or len(specs) <= 1:
-        results = []
-        for spec in specs:
-            results.append(spec.run())
-            reporter.advance(completed=1, attempted=1)
-        if owns_reporter:
-            reporter.finish()
-        return results
-    _check_picklable(specs)
-    reporter.set_workers(jobs)
-    size = chunk_size or default_chunk_size(len(specs), jobs)
-    results: List[Any] = [None] * len(specs)
-    base = min(spec.index for spec in specs) if specs else 0
-    chunks = _chunked(specs, size)
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        with timers.timed(PHASE_POOL_DISPATCH):
-            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-        remaining = len(chunks)
-        try:
-            for future in futures:
-                chunk_results = future.result()
-                remaining -= 1
-                with timers.timed(PHASE_POOL_REASSEMBLY):
-                    for index, value in chunk_results:
-                        results[index - base] = value
-                reporter.advance(
-                    completed=len(chunk_results),
-                    attempted=len(chunk_results),
-                    busy=min(jobs, remaining),
-                )
-        except _WorkerTrialError as exc:
-            _shutdown_fast(pool, futures)
-            spec = next((s for s in specs if s.index == exc.index), None)
-            raise TrialFailed(
-                f"trial {exc.key} failed in worker {exc.worker_pid}: "
-                f"{exc.error_type}: {exc.error_message}",
-                trial_index=exc.index,
-                spec=spec,
-                worker_pid=exc.worker_pid,
-            ) from exc
-        except BrokenProcessPool as exc:
-            _shutdown_fast(pool, futures)
-            raise TrialFailed(
-                "a worker process died mid-campaign (kill -9 / OOM?); "
-                "plain mode cannot recover — rerun under the resilient "
-                "scheduler (run_trials_resilient, or sweep with "
-                "--retries/--journal) to get supervised redispatch"
-            ) from exc
-    finally:
-        pool.shutdown(wait=True)
-    if owns_reporter:
-        reporter.finish()
-    return results
+
+    outcomes = run_trials_resilient(
+        specs,
+        jobs,
+        executor=ResilientExecutor(),
+        chunk_size=chunk_size,
+        progress=progress,
+        on_outcome=raise_for_failure,
+    )
+    return [outcome.value for outcome in outcomes]
 
 
-def _shutdown_fast(pool: ProcessPoolExecutor, futures: Sequence[Any]) -> None:
-    """Cancel sibling chunks and stop the pool without waiting on them."""
-    for future in futures:
-        future.cancel()
-    pool.shutdown(wait=False, cancel_futures=True)
+class _TrialTraceback(Exception):
+    """A failed trial's formatted traceback, chained under TrialFailed."""
+
+    def __str__(self) -> str:
+        return "\n" + str(self.args[0])
+
+
+def raise_for_failure(spec: TrialSpec, outcome: TrialOutcome) -> None:
+    """Raise :class:`~repro.errors.TrialFailed` if ``outcome`` failed.
+
+    The error carries the trial index, its spec and the pid of the
+    process that ran it, and is chained to the trial's own traceback so
+    the line that failed stays visible — the same at every ``jobs``.
+    """
+    if outcome.ok:
+        return
+    where = "" if outcome.worker_pid is None else f" in worker {outcome.worker_pid}"
+    cause = None if outcome.traceback is None else _TrialTraceback(outcome.traceback)
+    raise TrialFailed(
+        f"trial {outcome.key} failed{where}: {outcome.error}",
+        trial_index=spec.index,
+        spec=spec,
+        worker_pid=outcome.worker_pid,
+    ) from cause
 
 
 #: Per-outcome hook: ``on_outcome(spec, outcome)`` fires once per trial,
@@ -293,45 +187,41 @@ def run_trials_resilient(
     max_dispatches: int = 3,
     on_outcome: Optional[OutcomeHook] = None,
 ) -> List[TrialOutcome]:
-    """Run ``specs`` under the resilience layer, parallelised per worker.
+    """Run ``specs`` under the resilience layer; outcomes in spec order.
 
     The caller's :class:`~repro.exec.ResilientExecutor` supplies the
     policy (timeout, retries) and owns the parent-side state:
 
     * **resume** — specs whose key is in ``executor.completed`` are
       answered from the journal without dispatching;
-    * **quarantine** — consulted in the parent before dispatch and fed
-      back with each worker outcome (success clears strikes, exhausted
-      retries add one);
+    * **quarantine** — consulted before dispatch and fed back with each
+      outcome (success clears strikes, exhausted retries add one);
     * **journal** — every outcome is appended by the parent only, so the
       JSONL file has exactly one writer.
 
-    Timeout and retry run *inside* the worker (SIGALRM works there: each
-    worker executes trials on its own main thread).  Outcomes are
-    returned in spec order; journal append order follows chunk
-    completion, which may interleave across grid points — resume only
-    keys on record identity, so this is harmless.
+    Timeout and retry run wherever the trial runs: in-process at
+    ``jobs=1``, otherwise inside the worker, which gets the caller's
+    retry policy (its ``sleep`` reset to :func:`time.sleep`, since an
+    injected callable cannot cross a process boundary).  Journal append
+    order follows completion, which may interleave across grid points —
+    resume only keys on record identity, so this is harmless.
 
-    The parallel path runs under a :class:`PoolSupervisor`: a worker
-    killed with ``kill -9``, a hung pool, or a missed chunk deadline
-    rebuilds the pool and re-dispatches only the in-flight chunks (at
-    most ``max_dispatches`` times; a single trial that keeps breaking its
-    worker is recorded as ``failed`` and counted against the quarantine
-    instead of retrying forever).  Re-delivered results are ignored via
-    the reassembly slots, so every trial lands exactly once.  Supervisor
-    counters end up on ``executor.last_supervisor_stats`` and — when
-    anything eventful happened — as a ``{"kind": "supervisor"}`` journal
-    record.
+    At ``jobs`` > 1 the trials run under a :class:`PoolSupervisor`: a
+    worker killed with ``kill -9``, a hung pool, or a missed chunk
+    deadline rebuilds the pool and re-dispatches only the in-flight
+    chunks (at most ``max_dispatches`` times; a single trial that keeps
+    breaking its worker is recorded as ``failed`` and counted against
+    the quarantine instead of retrying forever).  Re-delivered results
+    are ignored via the reassembly slots, so every trial lands exactly
+    once.  Supervisor counters end up on ``executor.last_supervisor_stats``
+    (``None`` when nothing was supervised) and — when anything eventful
+    happened — as a ``{"kind": "supervisor"}`` journal record.
 
     ``shutdown`` (a :class:`GracefulShutdown`) stops the campaign at the
     next trial boundary on SIGINT/SIGTERM: the journal is already flushed
     per-outcome, workers are reaped, and
     :class:`~repro.errors.CampaignInterrupted` propagates so the caller
     can advertise ``--resume``.
-
-    With ``jobs`` resolving to 1, trials run serially through the
-    caller's executor itself — identical to the pre-parallel code path
-    (plus the same shutdown boundary checks).
 
     ``progress`` turns on a stderr heartbeat: trials completed/attempted,
     throughput/ETA, retry/quarantine counts, pool restarts, and how many
@@ -341,128 +231,84 @@ def run_trials_resilient(
     order, as soon as the outcome is final (resumed, quarantined, fresh,
     or abandoned) — the seam campaign services use to stream results and
     populate caches while the run is still in flight.  It runs in the
-    parent process; exceptions it raises propagate (don't raise).
+    parent process; an exception it raises stops the campaign and
+    propagates.
     """
     jobs = resolve_jobs(jobs)
     owns_reporter = not isinstance(progress, ProgressReporter)
     reporter = ensure_progress(progress, total=len(specs), label="trials")
-    if jobs == 1 or len(specs) <= 1:
-        outcomes_serial: List[TrialOutcome] = []
-        for spec in specs:
-            _check_shutdown(shutdown, len(specs) - len(outcomes_serial))
-            outcome = executor.run_trial(
-                resolve_task(spec.task),
-                key=spec.key or f"trial[{spec.index}]",
-                seed=spec.seed,
-                **spec.point,
-            )
-            outcomes_serial.append(outcome)
-            _advance_for(reporter, outcome)
-            if on_outcome is not None:
-                on_outcome(spec, outcome)
-        if owns_reporter:
-            reporter.finish()
-        return outcomes_serial
-    _check_picklable(specs)
-    reporter.set_workers(jobs)
-
-    base = min(spec.index for spec in specs)
+    base = min((spec.index for spec in specs), default=0)
     outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
-    spec_by_slot: Dict[int, TrialSpec] = {
-        spec.index - base: spec for spec in specs
-    }
-    dispatchable: List[TrialSpec] = []
-    for spec in specs:
-        key = spec.key or f"trial[{spec.index}]"
-        record = executor.completed.get(key)
-        if record is not None:
-            resumed = TrialOutcome(
-                key=key,
-                seed=int(record.get("seed", spec.seed)),
-                status=RESUMED,
-                attempts=int(record.get("attempts", 1)),
-                value=record.get("value"),
-            )
-            outcomes[spec.index - base] = resumed
-            _advance_for(reporter, resumed)
-            if on_outcome is not None:
-                on_outcome(spec, resumed)
-            continue
-        if executor.quarantine.blocks(key):
-            outcome = TrialOutcome(
-                key=key,
-                seed=spec.seed,
-                status=QUARANTINED,
-                attempts=0,
-                error="config quarantined after repeated failures",
-            )
-            outcomes[spec.index - base] = outcome
-            _journal(executor, outcome)
-            _advance_for(reporter, outcome)
-            if on_outcome is not None:
-                on_outcome(spec, outcome)
-            continue
-        dispatchable.append(spec)
+    spec_by_index = {spec.index: spec for spec in specs}
 
-    size = chunk_size or default_chunk_size(len(dispatchable), jobs)
-    timeout_seconds = executor.timeout_seconds
-    retries = executor.retry.retries
-
-    def on_result(index: int, outcome: TrialOutcome) -> None:
-        slot = index - base
+    def settle(spec: TrialSpec, outcome: TrialOutcome) -> None:
+        slot = spec.index - base
         if outcomes[slot] is not None:
             # Exactly-once guard: a redispatched chunk (hung worker that
             # was merely slow) may deliver the same trial twice.
             return
         outcomes[slot] = outcome
-        if outcome.ok:
-            executor.quarantine.record_success(outcome.key)
-        else:
-            executor.quarantine.record_failure(outcome.key)
-        if outcome.status != RESUMED:
-            _journal(executor, outcome)
-        _advance_for(reporter, outcome)
-        if on_outcome is not None:
-            on_outcome(spec_by_slot[slot], outcome)
-
-    def on_abandon(spec: TrialSpec, reason: str) -> None:
-        slot = spec.index - base
-        if outcomes[slot] is not None:
-            return
-        key = spec.key or f"trial[{spec.index}]"
-        outcome = TrialOutcome(
-            key=key, seed=spec.seed, status=FAILED, attempts=0, error=reason
-        )
-        outcomes[slot] = outcome
-        executor.quarantine.record_failure(key)
-        _journal(executor, outcome)
+        executor.settle(outcome)
         _advance_for(reporter, outcome)
         if on_outcome is not None:
             on_outcome(spec, outcome)
 
-    stats = SupervisorStats()
-    executor.last_supervisor_stats = stats
-    supervisor = PoolSupervisor(
-        jobs,
-        _run_chunk_resilient,
-        (timeout_seconds, retries),
-        deadline_seconds=chunk_deadline_seconds(
-            timeout_seconds,
-            executor.retry.max_attempts,
-            sum(executor.retry.delays()),
-        ),
-        max_dispatches=max_dispatches,
-        stats=stats,
-        shutdown=shutdown,
-        reporter=reporter,
-    )
-    try:
-        supervisor.run(_chunked(dispatchable, size), on_result, on_abandon)
-    finally:
-        # Interrupted or not, make the supervision events durable: the
-        # stats record rides in the journal next to the trial outcomes.
-        if stats.eventful and executor.journal is not None:
-            executor.journal.append(stats.journal_record())
+    dispatchable: List[TrialSpec] = []
+    for spec in specs:
+        triaged = executor.triage(spec.journal_key, spec.seed)
+        if triaged is None:
+            dispatchable.append(spec)
+        else:
+            settle(spec, triaged)
+
+    executor.last_supervisor_stats = None
+    if jobs == 1 or len(specs) <= 1:
+        for done, spec in enumerate(dispatchable):
+            _check_shutdown(shutdown, len(dispatchable) - done)
+            settle(spec, executor.attempt(spec.run, spec.journal_key, spec.seed))
+    else:
+        _check_picklable(dispatchable)
+        reporter.set_workers(jobs)
+
+        def abandon(spec: TrialSpec, reason: str) -> None:
+            settle(
+                spec,
+                TrialOutcome(
+                    key=spec.journal_key,
+                    seed=spec.seed,
+                    status=FAILED,
+                    attempts=0,
+                    error=reason,
+                ),
+            )
+
+        retry = executor.retry
+        stats = SupervisorStats()
+        executor.last_supervisor_stats = stats
+        supervisor = PoolSupervisor(
+            jobs,
+            _run_chunk,
+            (executor.timeout_seconds, dataclasses.replace(retry, sleep=time.sleep)),
+            deadline_seconds=chunk_deadline_seconds(
+                executor.timeout_seconds, retry.max_attempts, sum(retry.delays())
+            ),
+            max_dispatches=max_dispatches,
+            stats=stats,
+            shutdown=shutdown,
+            reporter=reporter,
+        )
+        size = chunk_size or default_chunk_size(len(dispatchable), jobs)
+        try:
+            supervisor.run(
+                _chunked(dispatchable, size),
+                lambda index, outcome: settle(spec_by_index[index], outcome),
+                abandon,
+            )
+        finally:
+            # Interrupted or not, make the supervision events durable: the
+            # stats record rides in the journal next to the trial outcomes.
+            if stats.eventful and executor.journal is not None:
+                executor.journal.append(stats.journal_record())
     if owns_reporter:
         reporter.finish()
     return [outcome for outcome in outcomes if outcome is not None]
@@ -471,7 +317,7 @@ def run_trials_resilient(
 def _check_shutdown(
     shutdown: Optional[GracefulShutdown], pending: int
 ) -> None:
-    """Serial-path twin of the supervisor's trial-boundary stop."""
+    """In-process twin of the supervisor's trial-boundary stop."""
     if shutdown is None or not shutdown.requested:
         return
     raise CampaignInterrupted(
@@ -496,8 +342,3 @@ def _advance_for(
         quarantined=1 if outcome.status == QUARANTINED else 0,
         busy=busy,
     )
-
-
-def _journal(executor: ResilientExecutor, outcome: TrialOutcome) -> None:
-    if executor.journal is not None:
-        executor.journal.append(outcome.journal_record(executor.serialize))

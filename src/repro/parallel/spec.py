@@ -117,9 +117,21 @@ class TrialSpec:
     #: which never changes results — rides alongside.
     backend: Optional[str] = None
 
-    def run(self) -> Any:
-        """Execute the trial in this process (resolves the task first)."""
+    @property
+    def journal_key(self) -> str:
+        """``key``, or a positional stand-in for key-less campaigns."""
+        return self.key or f"trial[{self.index}]"
+
+    def run(self, seed: Optional[int] = None) -> Any:
+        """Execute the trial in this process (resolves the task first).
+
+        This is the one place a trial's call is built: the grid point,
+        the backend, and the seed — ``seed`` overrides the spec's own,
+        which is how retries run under their derived seeds.
+        """
         kwargs = dict(self.point)
         if self.backend is not None:
             kwargs["backend"] = self.backend
-        return resolve_task(self.task)(seed=self.seed, **kwargs)
+        return resolve_task(self.task)(
+            seed=self.seed if seed is None else seed, **kwargs
+        )

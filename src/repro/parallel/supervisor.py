@@ -100,6 +100,17 @@ class SupervisorStats:
             "interrupted": self.interrupted,
         }
 
+    def incident_counts(self) -> Dict[str, Any]:
+        """The non-zero counters for campaign summaries; empty when the
+        supervisor had nothing to report."""
+        if not self.eventful:
+            return {}
+        return {
+            key: value
+            for key, value in self.as_dict().items()
+            if isinstance(value, int) and value
+        }
+
     def merge(self, other: "SupervisorStats") -> None:
         """Fold another run's counters into this one (resumed campaigns)."""
         self.pool_rebuilds += other.pool_rebuilds

@@ -395,7 +395,7 @@ class CampaignService:
             emit_trial(
                 trial_spec,
                 TrialOutcome(
-                    key=trial_spec.key or f"trial[{trial_spec.index}]",
+                    key=trial_spec.journal_key,
                     seed=trial_spec.seed,
                     status=CACHED,
                     attempts=0,

@@ -64,6 +64,24 @@ class TestFuzzCampaign:
         assert report.attempted == 2  # one trial per scenario minimum
         assert report.clean
 
+    def test_journal_grows_while_the_campaign_runs(self, tmp_path, monkeypatch):
+        """Each trial is journalled as it settles, not after the last one."""
+        import repro.chaos.fuzzer as fuzzer_mod
+
+        path = tmp_path / "fuzz.jsonl"
+        lines_at_start = []
+        real_trial = fuzzer_mod._fuzz_trial
+
+        def counting_trial(**kwargs):
+            lines_at_start.append(
+                len(path.read_text().splitlines()) if path.exists() else 0
+            )
+            return real_trial(**kwargs)
+
+        monkeypatch.setattr(fuzzer_mod, "_fuzz_trial", counting_trial)
+        fuzz(default_scenarios(n=16), seeds=3, journal=str(path), jobs=1)
+        assert lines_at_start == list(range(6))
+
 
 class TestReplayDeterminism:
     def test_fuzzed_run_replays_identically_from_script(self):

@@ -2,9 +2,11 @@
 
 import os
 import pickle
+import signal
 
 import pytest
 
+from repro.analysis import resilient_sweep
 from repro.errors import ConfigurationError, TrialFailed
 from repro.exec import (
     FAILED,
@@ -39,6 +41,15 @@ def fail_on_odd_seed(seed=0, **point):
 
 def always_fail(seed=0, **point):
     raise RuntimeError("broken config")
+
+
+def backend_echo(seed=0, backend=None, **point):
+    return {"seed": seed, "backend": backend}
+
+
+def kill_own_process(seed=0, **point):
+    """SIGKILL whatever process runs the trial, every time."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestResolveJobs:
@@ -135,13 +146,14 @@ class TestRunTrials:
         results = run_trials(self._specs(8), jobs=2, chunk_size=3)
         assert [r["x"] for r in results] == list(range(8))
 
-    def test_exception_propagates_as_trial_failed(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exception_propagates_as_trial_failed(self, jobs):
         specs = [
             TrialSpec(index=index, task=fail_on_odd_seed, seed=index)
             for index in range(6)
         ]
         with pytest.raises(TrialFailed) as excinfo:
-            run_trials(specs, jobs=2)
+            run_trials(specs, jobs=jobs)
         failure = excinfo.value
         assert failure.trial_index is not None
         assert failure.trial_index % 2 == 1
@@ -238,3 +250,79 @@ class TestRunTrialsResilient:
         outcomes = run_trials_resilient(specs, jobs=2, executor=executor)
         assert outcomes[0].attempts >= 1
         assert outcomes[0].status in (OK, FAILED)
+
+
+class TestOneCampaignPath:
+    """Every ``jobs`` value runs the same triage, dispatch, and settle."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resilient_sweep_forwards_backend(self, jobs):
+        result = resilient_sweep(
+            backend_echo, {"n": [4, 8]}, trials=2, jobs=jobs, backend="vec"
+        )
+        values = [value for _, results in result.rows() for value in results]
+        assert [value["backend"] for value in values] == ["vec"] * 4
+
+    def test_workers_honour_the_callers_backoff(self):
+        policy = RetryPolicy(
+            retries=2, backoff_base=0.3, backoff_factor=1.0, backoff_cap=0.3
+        )
+        specs = [
+            TrialSpec(index=index, task=always_fail, seed=index, key=f"k{index}")
+            for index in range(2)
+        ]
+        outcomes = run_trials_resilient(
+            specs, jobs=2, executor=ResilientExecutor(retry=policy)
+        )
+        for outcome in outcomes:
+            assert outcome.status == FAILED
+            assert outcome.attempts == policy.max_attempts
+            assert outcome.elapsed_seconds >= sum(policy.delays())
+
+    def test_worker_pid_stays_out_of_the_journal_record(self):
+        specs = [TrialSpec(index=0, task=echo_task, seed=3)]
+        (outcome,) = run_trials_resilient(
+            specs, jobs=1, executor=ResilientExecutor()
+        )
+        assert outcome.worker_pid == os.getpid()
+        assert "worker_pid" not in outcome.journal_record()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_failed_chains_the_trial_traceback(self, jobs):
+        specs = [
+            TrialSpec(index=index, task=fail_on_odd_seed, seed=index)
+            for index in range(4)
+        ]
+        with pytest.raises(TrialFailed) as excinfo:
+            run_trials(specs, jobs=jobs)
+        cause = str(excinfo.value.__cause__)
+        assert "in fail_on_odd_seed" in cause
+        assert "ValueError: odd seed" in cause
+
+    def test_resumed_poison_trial_is_still_supervised(self, tmp_path):
+        """A lone trial left by resume at jobs > 1 runs in a worker, so a
+        trial that kills its process ends FAILED instead of killing us."""
+        specs = [
+            TrialSpec(index=index, task=echo_task, seed=index, key=f"t[{index}]")
+            for index in range(4)
+        ]
+        poison = TrialSpec(index=4, task=kill_own_process, seed=99, key="poison")
+        journal_path = tmp_path / "j.jsonl"
+        journal = Journal(journal_path)
+        run_trials_resilient(
+            specs + [poison],
+            jobs=2,
+            executor=ResilientExecutor(journal=journal),
+            chunk_size=1,
+            max_dispatches=2,
+        )
+        journal.close()
+
+        executor = ResilientExecutor(journal=Journal(journal_path))
+        assert executor.load_completed() == 4
+        outcomes = run_trials_resilient(
+            specs + [poison], jobs=2, executor=executor, max_dispatches=2
+        )
+        executor.journal.close()
+        assert [o.status for o in outcomes] == [RESUMED] * 4 + [FAILED]
+        assert "kept breaking its worker" in outcomes[4].error
