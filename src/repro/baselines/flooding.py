@@ -17,11 +17,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..faults.adversary import Adversary
+from ..scenario import Scenario
 from ..sim.message import Delivery, Message
-from ..sim.network import Network
 from ..sim.node import Context, Protocol
-from ..types import Knowledge
-from .base import BaselineOutcome, evaluate_explicit_agreement
+from .base import BaselineOutcome
 
 MSG_FLOOD = "FLD_VAL"  # node -> everyone: (bit,)
 
@@ -88,49 +87,9 @@ def flooding_consensus(
     ``backend="vec"`` runs the numpy engine (identical results; falls
     back to the reference engine for unsupported configurations).
     """
+    from ..core.runner import execute
+
     if len(inputs) != n:
         raise ValueError(f"got {len(inputs)} inputs for n={n}")
-    rounds = faulty_count + 1
-    run = None
-    if backend == "vec":
-        from ..errors import VecUnsupported
-        from ..sim.vec import ensure_vec_supported, run_flooding_vec
-
-        try:
-            ensure_vec_supported(adversary or Adversary())
-            run = run_flooding_vec(
-                n, inputs, seed, adversary or Adversary(), faulty_count, rounds
-            )
-        except VecUnsupported:
-            run = None  # fall back to the reference engine (same results)
-    elif backend != "ref":
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from ('ref', 'vec')"
-        )
-    if run is None:
-        network = Network(
-            n,
-            lambda u: FloodingConsensusProtocol(u, n, inputs[u], rounds),
-            seed=seed,
-            adversary=adversary or Adversary(),
-            max_faulty=faulty_count,
-            inputs=inputs,
-            knowledge=Knowledge.KT1,
-        )
-        run = network.run(rounds + 2)
-    outcome = BaselineOutcome(
-        protocol="flooding",
-        n=n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(inputs),
-    )
-    for u in run.alive:
-        protocol: FloodingConsensusProtocol = run.protocol(u)  # type: ignore[assignment]
-        if protocol.decided is not None:
-            outcome.decisions[u] = protocol.decided
-    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
-    return outcome
+    scenario = Scenario("flooding", n, 1.0, inputs=inputs, faulty_count=faulty_count)
+    return execute(scenario, seed, adversary or Adversary(), backend=backend)

@@ -32,12 +32,11 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
+from ..baselines.ben_or import ben_or_consensus
 from ..core.results import AgreementResult
-from ..core.runner import agree, elect_leader, make_inputs
-from ..core.schedule import AgreementSchedule, LeaderElectionSchedule
+from ..core.runner import execute
 from ..errors import ConfigurationError, ReproError
 from ..faults.adversary import Adversary
 from ..faults.byzantine import AGREEMENT_MODES, ELECTION_MODES
@@ -45,9 +44,10 @@ from ..obs.progress import ProgressSpec, ensure_progress
 from ..obs.provenance import Manifest
 from ..params import Params
 from ..rng import derive_seed
+from ..scenario import Scenario
 from ..sim.network import RunResult
 from ..sim.validate import validate_run
-from ..types import Decision, Round
+from ..types import Decision
 from .grammar import FuzzedAdversary, GrammarConfig, sample_script
 from .oracles import (
     FRAGILE_PREFIXES,
@@ -79,38 +79,27 @@ FAST_CONSTANTS = dict(candidate_factor=3.0, referee_factor=1.5, iteration_factor
 
 
 @dataclass(frozen=True)
-class FuzzScenario:
-    """Everything needed to rebuild one fuzzed run except its schedule."""
+class FuzzScenario(Scenario):
+    """A :class:`~repro.scenario.Scenario` plus ``fast_constants``, which
+    maps onto its ``Params`` override: everything needed to rebuild one
+    fuzzed run except its seed and schedule."""
 
-    protocol: str
     n: int = 64
     alpha: float = 0.5
-    inputs: Union[str, Tuple[int, ...]] = "mixed"
+    faulty_count: Optional[int] = field(default=None, init=False)
+    params_override: Optional[Params] = field(default=None, init=False)
     fast_constants: bool = True
-    extra_rounds: int = 0
+
+    supported: ClassVar[Tuple[str, ...]] = PROTOCOLS
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
+        super().__post_init__()
+        if self.fast_constants:
+            object.__setattr__(
+                self,
+                "params_override",
+                Params(n=self.n, alpha=self.alpha, **FAST_CONSTANTS),
             )
-
-    def params(self) -> Params:
-        constants = FAST_CONSTANTS if self.fast_constants else {}
-        return Params(n=self.n, alpha=self.alpha, **constants)
-
-    def horizon(self) -> Round:
-        params = self.params()
-        if self.protocol == "election":
-            schedule = LeaderElectionSchedule.from_params(params)
-        elif self.protocol == "ben_or":
-            # Crash rounds are sampled against the synchronous timetable;
-            # a delayed run stretches past it, which only means the latest
-            # sampled crashes land while it is still running.
-            return ben_or_horizon() + self.extra_rounds
-        else:
-            schedule = AgreementSchedule.from_params(params)
-        return schedule.last_round + self.extra_rounds
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -123,20 +112,6 @@ class FuzzScenario:
             "fast_constants": self.fast_constants,
             "extra_rounds": self.extra_rounds,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FuzzScenario":
-        inputs = data.get("inputs", "mixed")
-        if not isinstance(inputs, str):
-            inputs = tuple(int(b) for b in inputs)
-        return cls(
-            protocol=str(data["protocol"]),
-            n=int(data.get("n", 64)),
-            alpha=float(data.get("alpha", 0.5)),
-            inputs=inputs,
-            fast_constants=bool(data.get("fast_constants", True)),
-            extra_rounds=int(data.get("extra_rounds", 0)),
-        )
 
 
 @dataclass
@@ -221,7 +196,6 @@ def run_scenario(
     findings — consistently here, so replay and shrink classify a case
     exactly as the original fuzz trial did.
     """
-    params = scenario.params()
     byzantine = None
     delivery = None
     fragile_prefix: Optional[str] = None
@@ -237,32 +211,14 @@ def run_scenario(
             ):
                 fragile_prefix = "async"
     try:
-        if scenario.protocol == "election":
-            result = elect_leader(
-                n=scenario.n,
-                alpha=scenario.alpha,
-                seed=seed,
-                adversary=adversary,
-                params=params,
-                collect_trace=True,
-                extra_rounds=scenario.extra_rounds,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-        elif scenario.protocol == "ben_or":
-            result = _run_ben_or(
-                scenario, seed, adversary, delivery, byzantine, params
-            )
+        if scenario.protocol == "ben_or":
+            result = _run_ben_or(scenario, seed, adversary, delivery, byzantine)
         else:
-            result = agree(
-                n=scenario.n,
-                alpha=scenario.alpha,
-                inputs=scenario.inputs,
-                seed=seed,
-                adversary=adversary,
-                params=params,
+            result = execute(
+                scenario,
+                seed,
+                adversary,
                 collect_trace=True,
-                extra_rounds=scenario.extra_rounds,
                 delivery=delivery,
                 byzantine=byzantine,
             )
@@ -299,7 +255,6 @@ def _run_ben_or(
     adversary: Adversary,
     delivery,
     byzantine,
-    params: Params,
 ) -> AgreementResult:
     """Run Ben-Or and adapt its outcome to an :class:`AgreementResult`.
 
@@ -308,13 +263,13 @@ def _run_ben_or(
     values (alive nodes without one are ``UNDECIDED``, a liveness matter
     the safety oracle ignores).
     """
-    input_bits = make_inputs(scenario.n, scenario.inputs, seed)
+    input_bits = scenario.input_bits(seed)
     outcome = ben_or_consensus(
         n=scenario.n,
         inputs=input_bits,
         seed=seed,
         adversary=adversary,
-        faulty_count=params.max_faulty,
+        faulty_count=scenario.fault_budget(),
         delivery=delivery,
         byzantine=byzantine,
         collect_trace=True,
@@ -397,7 +352,7 @@ def fuzz_one(
         script = sample_script(
             rng,
             n=scenario.n,
-            max_faulty=scenario.params().max_faulty,
+            max_faulty=scenario.fault_budget(),
             horizon=scenario.horizon(),
             config=effective,
             label=f"fuzz@{seed}",

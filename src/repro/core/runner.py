@@ -7,21 +7,27 @@ These are the functions most users call:
 True
 >>> agree(n=512, alpha=0.5, inputs="single0", seed=1).decision
 0
+
+Each runner describes its trial as a :class:`~repro.scenario.Scenario`
+and hands it to one execute path: vec attempt → Byzantine wrap →
+:class:`~repro.sim.network.Network` → run.  Params, schedule, horizon
+and fault budget all come from the scenario, so the sim runners, the
+wire backend and the fuzzer cannot derive them differently.
 """
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, VecUnsupported
 from ..faults.adversary import Adversary
 from ..faults.strategies import named_adversary
 from ..obs.timing import PhaseTimers
 from ..params import CongestBudget, Params
-from ..rng import derive_seed
+from ..scenario import INPUT_PATTERNS, Scenario, make_inputs  # noqa: F401  (re-export)
 from ..sim.delivery import DeliverySchedule
 from ..sim.network import Network, RunResult
+from ..sim.node import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - lazy import (faults.byzantine
     # depends on this package; see repro.faults.__init__)
@@ -36,7 +42,6 @@ from .results import (
     ExplicitLeaderElectionResult,
     LeaderElectionResult,
 )
-from .schedule import AgreementSchedule, LeaderElectionSchedule
 
 #: Rounds appended after the nominal schedule to fit the explicit
 #: broadcast wave (broadcast + delivery).
@@ -44,19 +49,9 @@ EXPLICIT_TAIL_ROUNDS = 3
 
 AdversarySpec = Union[str, Adversary]
 
-#: Named input patterns for the agreement problem.
-INPUT_PATTERNS = ("all0", "all1", "mixed", "single0", "single1")
-
 #: Engine backends: the reference per-node engine, and the numpy
 #: struct-of-arrays engine (exact same results, see ``docs/VEC.md``).
 BACKENDS = ("ref", "vec")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
 
 
 def _resolve_adversary(spec: AdversarySpec, horizon: int) -> Adversary:
@@ -65,46 +60,157 @@ def _resolve_adversary(spec: AdversarySpec, horizon: int) -> Adversary:
     return named_adversary(spec, horizon)
 
 
-def make_inputs(
-    n: int, pattern: Union[str, Sequence[int]], seed: int = 0
-) -> List[int]:
-    """Materialise an input-bit vector for the agreement problem.
+# ----------------------------------------------------------------------
+# The execute path
+# ----------------------------------------------------------------------
 
-    ``pattern`` is either an explicit bit sequence or one of
-    :data:`INPUT_PATTERNS`:
 
-    * ``all0`` / ``all1`` — unanimous inputs;
-    * ``mixed`` — independent fair coin per node;
-    * ``single0`` / ``single1`` — one random node holds the minority bit
-      (the hardest validity cases: the lone value must either spread or
-      die with its holder).
+def _run(
+    scenario: Scenario,
+    seed: int,
+    adversary: AdversarySpec,
+    variant: Optional[Callable[..., Protocol]] = None,
+    collect_trace: bool = False,
+    message_budget: Optional[int] = None,
+    timers: Optional[PhaseTimers] = None,
+    delivery: Optional[DeliverySchedule] = None,
+    byzantine: Optional["ByzantinePlan"] = None,
+    backend: str = "ref",
+) -> Tuple[RunResult, Adversary]:
+    """Run ``scenario`` once: vec attempt → Byzantine wrap → Network → run.
+
+    ``variant`` swaps in a subclass of the scenario's protocol taking
+    ``(u, params, schedule[, input bit])`` — the explicit and
+    election-based variants, which have no vec engine.  Returns the run
+    and the adversary that drove it.
     """
-    if not isinstance(pattern, str):
-        inputs = [int(b) for b in pattern]
-        if len(inputs) != n:
-            raise ConfigurationError(
-                f"got {len(inputs)} input bits for n={n} nodes"
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
+        )
+    horizon = scenario.horizon()
+    adversary = _resolve_adversary(adversary, horizon)
+    faulty_count = scenario.fault_budget()
+    bits = None if scenario.inputs is None else scenario.input_bits(seed)
+    if backend == "vec" and variant is None:
+        from ..sim.vec import ensure_vec_supported
+
+        try:
+            ensure_vec_supported(
+                adversary,
+                collect_trace=collect_trace,
+                message_budget=message_budget,
+                timers=timers,
+                delivery=delivery,
+                byzantine=byzantine,
             )
-        if any(b not in (0, 1) for b in inputs):
-            raise ConfigurationError("inputs must be bits")
-        return inputs
-    rng = random.Random(derive_seed(seed, "inputs", pattern))
-    if pattern == "all0":
-        return [0] * n
-    if pattern == "all1":
-        return [1] * n
-    if pattern == "mixed":
-        return [rng.randint(0, 1) for _ in range(n)]
-    if pattern == "single0":
-        inputs = [1] * n
-        inputs[rng.randrange(n)] = 0
-        return inputs
-    if pattern == "single1":
-        inputs = [0] * n
-        inputs[rng.randrange(n)] = 1
-        return inputs
+            run = _run_vec(scenario, seed, adversary, faulty_count, bits, horizon)
+            return run, adversary
+        except VecUnsupported:
+            # Unsupported configs replay on the reference engine; the
+            # adversary's selection state is rebuilt from the same seed,
+            # so the fallback run is byte-identical to a ref-only run.
+            pass
+    if variant is None:
+        factory = scenario.protocol_factory(seed)
+    else:
+        params, schedule = scenario.params(), scenario.schedule()
+        if bits is None:
+            factory = lambda u: variant(u, params, schedule)  # noqa: E731
+        else:
+            factory = lambda u: variant(u, params, schedule, bits[u])  # noqa: E731
+    if byzantine is not None and byzantine.modes:
+        from ..faults.byzantine import (
+            ByzantineAdversary,
+            agreement_attackers,
+            election_attackers,
+            plan_factory,
+        )
+
+        params, schedule = scenario.params(), scenario.schedule()
+        attackers = (
+            election_attackers(params, schedule)
+            if scenario.protocol == "election"
+            else agreement_attackers(params, schedule, bits)
+        )
+        adversary = ByzantineAdversary(byzantine, adversary)
+        factory = plan_factory(byzantine, factory, attackers)
+
+    network = Network(
+        scenario.n,
+        factory,
+        seed=seed,
+        adversary=adversary,
+        max_faulty=faulty_count,
+        inputs=bits,
+        knowledge=scenario.knowledge(),
+        congest=CongestBudget(scenario.n),
+        collect_trace=collect_trace,
+        message_budget=message_budget,
+        timers=timers,
+        delivery=delivery,
+    )
+    return network.run(horizon), adversary
+
+
+def _run_vec(
+    scenario: Scenario,
+    seed: int,
+    adversary: Adversary,
+    faulty_count: int,
+    bits: Optional[List[int]],
+    horizon: int,
+) -> RunResult:
+    from ..sim.vec import run_agreement_vec, run_election_vec
+    from ..sim.vec.flooding import _FloodingVec
+
+    schedule = scenario.schedule()
+    if scenario.protocol == "election":
+        return run_election_vec(
+            scenario.params(), schedule, seed, adversary, faulty_count, horizon
+        )
+    assert bits is not None
+    if scenario.protocol == "agreement":
+        return run_agreement_vec(
+            scenario.params(), schedule, seed, adversary, faulty_count, bits, horizon
+        )
+    return _FloodingVec(
+        scenario.n, bits, seed, adversary, faulty_count, schedule, horizon
+    ).run()
+
+
+def execute(
+    scenario: Scenario,
+    seed: int = 0,
+    adversary: AdversarySpec = "random",
+    **options: Any,
+) -> Any:
+    """Run ``scenario`` under ``seed`` and evaluate it.
+
+    Returns a :class:`~repro.core.results.LeaderElectionResult`, an
+    :class:`~repro.core.results.AgreementResult` or, for flooding, a
+    :class:`~repro.baselines.base.BaselineOutcome`.  ``options`` are the
+    engine options of :func:`elect_leader` (``collect_trace``,
+    ``message_budget``, ``timers``, ``delivery``, ``byzantine``,
+    ``backend``).
+    """
+    run, resolved = _run(scenario, seed, adversary, **options)
+    return evaluate(scenario, run, seed, resolved)
+
+
+def evaluate(
+    scenario: Scenario, run: RunResult, seed: int, adversary: Adversary
+) -> Any:
+    """Reduce a finished run of ``scenario`` to its protocol's result."""
+    if scenario.protocol == "election":
+        return _evaluate_leader_election(run, scenario.params(), seed, adversary)
+    bits = scenario.input_bits(seed)
+    if scenario.protocol == "agreement":
+        return _evaluate_agreement(run, scenario.params(), seed, adversary, bits)
+    if scenario.protocol == "flooding":
+        return _evaluate_flooding(run, bits)
     raise ConfigurationError(
-        f"unknown input pattern {pattern!r}; choose from {INPUT_PATTERNS}"
+        "ben_or runs through repro.baselines.ben_or_consensus"
     )
 
 
@@ -163,61 +269,18 @@ def elect_leader(
         results and falls back to ``"ref"`` for configurations it cannot
         mirror exactly (see ``docs/VEC.md``).
     """
-    _check_backend(backend)
-    params = params or Params(n=n, alpha=alpha)
-    schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round + extra_rounds
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-    if backend == "vec":
-        from ..sim.vec import ensure_vec_supported, run_election_vec
-
-        try:
-            ensure_vec_supported(
-                adversary,
-                collect_trace=collect_trace,
-                message_budget=message_budget,
-                timers=timers,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-            run = run_election_vec(
-                params, schedule, seed, adversary, faulty_count, total_rounds
-            )
-            return _evaluate_leader_election(run, params, seed, adversary)
-        except VecUnsupported:
-            # Unsupported configs replay on the reference engine; the
-            # adversary's selection state is rebuilt from the same seed,
-            # so the fallback run is byte-identical to a ref-only run.
-            pass
-    factory = lambda u: LeaderElectionProtocol(u, params, schedule)  # noqa: E731
-    if byzantine is not None and byzantine.modes:
-        from ..faults.byzantine import (
-            ByzantineAdversary,
-            election_attackers,
-            plan_factory,
-        )
-
-        adversary = ByzantineAdversary(byzantine, adversary)
-        factory = plan_factory(
-            byzantine, factory, election_attackers(params, schedule)
-        )
-
-    network = Network(
-        n,
-        factory,
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        congest=CongestBudget(n),
+    scenario = Scenario("election", n, alpha, None, faulty_count, extra_rounds, params)
+    return execute(
+        scenario,
+        seed,
+        adversary,
         collect_trace=collect_trace,
         message_budget=message_budget,
         timers=timers,
         delivery=delivery,
+        byzantine=byzantine,
+        backend=backend,
     )
-    run = network.run(total_rounds)
-    return _evaluate_leader_election(run, params, seed, adversary)
 
 
 def _evaluate_leader_election(
@@ -265,23 +328,11 @@ def elect_leader_explicit(
     On top of the implicit outcome, the result records which nodes learnt
     the winner's rank (``explicit_ranks`` / ``explicit_success``).
     """
-    params = params or Params(n=n, alpha=alpha)
-    schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round + EXPLICIT_TAIL_ROUNDS
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-
-    network = Network(
-        n,
-        lambda u: ExplicitLeaderElectionProtocol(u, params, schedule),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        congest=CongestBudget(n),
+    scenario = Scenario(
+        "election", n, alpha, None, faulty_count, EXPLICIT_TAIL_ROUNDS, params
     )
-    run = network.run(total_rounds)
-    base = _evaluate_leader_election(run, params, seed, adversary)
+    run, resolved = _run(scenario, seed, adversary, ExplicitLeaderElectionProtocol)
+    base = evaluate(scenario, run, seed, resolved)
     result = ExplicitLeaderElectionResult(**vars(base))
     for u in range(run.n):
         if u in run.crashed:
@@ -318,68 +369,20 @@ def agree(
     (see :func:`make_inputs`).  Other parameters as in
     :func:`elect_leader`.
     """
-    _check_backend(backend)
-    params = params or Params(n=n, alpha=alpha)
-    schedule = AgreementSchedule.from_params(params)
-    total_rounds = schedule.last_round + extra_rounds
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-    input_bits = make_inputs(n, inputs, seed)
-    if backend == "vec":
-        from ..sim.vec import ensure_vec_supported, run_agreement_vec
-
-        try:
-            ensure_vec_supported(
-                adversary,
-                collect_trace=collect_trace,
-                message_budget=message_budget,
-                timers=timers,
-                delivery=delivery,
-                byzantine=byzantine,
-            )
-            run = run_agreement_vec(
-                params,
-                schedule,
-                seed,
-                adversary,
-                faulty_count,
-                input_bits,
-                total_rounds,
-            )
-            return _evaluate_agreement(run, params, seed, adversary, input_bits)
-        except VecUnsupported:
-            pass  # fall back to the reference engine (same results)
-    factory = lambda u: AgreementProtocol(  # noqa: E731
-        u, params, schedule, input_bits[u]
+    scenario = Scenario(
+        "agreement", n, alpha, inputs, faulty_count, extra_rounds, params
     )
-    if byzantine is not None and byzantine.modes:
-        from ..faults.byzantine import (
-            ByzantineAdversary,
-            agreement_attackers,
-            plan_factory,
-        )
-
-        adversary = ByzantineAdversary(byzantine, adversary)
-        factory = plan_factory(
-            byzantine, factory, agreement_attackers(params, schedule, input_bits)
-        )
-
-    network = Network(
-        n,
-        factory,
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
+    return execute(
+        scenario,
+        seed,
+        adversary,
         collect_trace=collect_trace,
         message_budget=message_budget,
         timers=timers,
         delivery=delivery,
+        byzantine=byzantine,
+        backend=backend,
     )
-    run = network.run(total_rounds)
-    return _evaluate_agreement(run, params, seed, adversary, input_bits)
 
 
 def agree_explicit(
@@ -396,25 +399,11 @@ def agree_explicit(
     On top of the implicit outcome, the result records which nodes learnt
     the agreed bit (``explicit_bits`` / ``explicit_success``).
     """
-    params = params or Params(n=n, alpha=alpha)
-    schedule = AgreementSchedule.from_params(params)
-    total_rounds = schedule.last_round + EXPLICIT_TAIL_ROUNDS
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-    input_bits = make_inputs(n, inputs, seed)
-
-    network = Network(
-        n,
-        lambda u: ExplicitAgreementProtocol(u, params, schedule, input_bits[u]),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
+    scenario = Scenario(
+        "agreement", n, alpha, inputs, faulty_count, EXPLICIT_TAIL_ROUNDS, params
     )
-    run = network.run(total_rounds)
-    base = _evaluate_agreement(run, params, seed, adversary, input_bits)
+    run, resolved = _run(scenario, seed, adversary, ExplicitAgreementProtocol)
+    base = evaluate(scenario, run, seed, resolved)
     result = ExplicitAgreementResult(**vars(base))
     for u in range(run.n):
         if u in run.crashed:
@@ -442,25 +431,13 @@ def agree_via_election(
     """
     from .leader_based_agreement import LeaderBasedAgreementProtocol
 
-    params = params or Params(n=n, alpha=alpha)
-    schedule = LeaderElectionSchedule.from_params(params)
-    total_rounds = schedule.last_round
-    adversary = _resolve_adversary(adversary, total_rounds)
-    if faulty_count is None:
-        faulty_count = params.max_faulty
-    input_bits = make_inputs(n, inputs, seed)
-
-    network = Network(
-        n,
-        lambda u: LeaderBasedAgreementProtocol(u, params, schedule, input_bits[u]),
-        seed=seed,
-        adversary=adversary,
-        max_faulty=faulty_count,
-        inputs=input_bits,
-        congest=CongestBudget(n),
+    # An election scenario with inputs: the election's schedule and
+    # horizon, the agreement's input bits.
+    scenario = Scenario("election", n, alpha, inputs, faulty_count, 0, params)
+    run, resolved = _run(scenario, seed, adversary, LeaderBasedAgreementProtocol)
+    return _evaluate_agreement(
+        run, scenario.params(), seed, resolved, scenario.input_bits(seed)
     )
-    run = network.run(total_rounds)
-    return _evaluate_agreement(run, params, seed, adversary, input_bits)
 
 
 def _evaluate_agreement(
@@ -492,3 +469,22 @@ def _evaluate_agreement(
             result.candidates_alive.append(u)
         result.decisions[u] = protocol.decision
     return result
+
+
+def _evaluate_flooding(run: RunResult, bits: Sequence[int]) -> Any:
+    from ..baselines.base import BaselineOutcome, evaluate_explicit_agreement
+
+    outcome = BaselineOutcome(
+        protocol="flooding",
+        n=run.n,
+        faulty=run.faulty,
+        crashed=run.crashed,
+        metrics=run.metrics,
+        inputs=list(bits),
+    )
+    for u in run.alive:
+        decided = run.protocol(u).decided  # type: ignore[attr-defined]
+        if decided is not None:
+            outcome.decisions[u] = decided
+    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
+    return outcome

@@ -23,10 +23,10 @@ from typing import List
 
 from ..analysis.stats import mean, summarize_trials
 from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
-from ..core.runner import elect_leader, make_inputs
+from ..core.runner import elect_leader
 from ..faults import named_adversary
-from ..params import Params
 from ..rng import seed_sequence
+from ..scenario import Scenario
 from ..sim.delivery import UniformDelay
 from .harness import Check, Experiment, ExperimentReport
 
@@ -72,7 +72,7 @@ def _run_e17(quick: bool) -> ExperimentReport:
         )
     )
 
-    budget = min(Params(n=n, alpha=alpha).max_faulty, (n - 1) // 2)
+    scenario = Scenario("ben_or", n, alpha)
     mean_rounds = {}
     mean_messages = {}
     for delta in (0, 1, 3):
@@ -82,12 +82,12 @@ def _run_e17(quick: bool) -> ExperimentReport:
             outcomes.append(
                 ben_or_consensus(
                     n=n,
-                    inputs=make_inputs(n, "mixed", seed),
+                    inputs=scenario.input_bits(seed),
                     seed=seed,
                     adversary=named_adversary(
                         "random", ben_or_horizon(delta)
                     ),
-                    faulty_count=budget,
+                    faulty_count=scenario.fault_budget(),
                     delivery=delivery,
                 )
             )

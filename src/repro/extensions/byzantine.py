@@ -20,11 +20,11 @@ CONGEST messages through sampled ports); no engine rules are bent.  The
 measured collapse is the content of experiment E15 and motivates why
 sub-linear *Byzantine* agreement is open.
 
-The attacker protocol classes were promoted to
-:mod:`repro.faults.byzantine` (first-class fault model, per-node plans,
-budget-charged composition with crash adversaries); they are re-exported
-here so existing imports keep working.  This module keeps the E15
-measurement runners.
+The attacker protocol classes live in :mod:`repro.faults.byzantine`
+(first-class fault model, per-node plans, budget-charged composition with
+crash adversaries); this module keeps the E15 measurement runners, which
+take params, schedule, inputs and horizon from a
+:class:`~repro.scenario.Scenario`.
 """
 
 from __future__ import annotations
@@ -34,16 +34,10 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.agreement import AgreementProtocol
 from ..core.leader_election import LeaderElectionProtocol
-from ..core.runner import make_inputs
-from ..core.schedule import AgreementSchedule, LeaderElectionSchedule
-from ..faults.byzantine import (  # noqa: F401  (re-exported compatibility names)
-    Equivocator,
-    RankForger,
-    SelectiveOmission,
-    ZeroForger,
-)
+from ..faults.byzantine import Equivocator, RankForger, ZeroForger
 from ..params import CongestBudget, Params
 from ..rng import RngFactory
+from ..scenario import Scenario
 from ..sim.metrics import Metrics
 from ..sim.network import Network
 from ..types import Decision, NodeState
@@ -131,9 +125,9 @@ def run_byzantine_agreement(
 
     Default inputs are all-1 so any decided 0 is provably forged.
     """
-    params = params or Params(n=n, alpha=alpha)
-    schedule = AgreementSchedule.from_params(params)
-    input_bits = make_inputs(n, inputs, seed)
+    scenario = Scenario("agreement", n, alpha, inputs=inputs, params_override=params)
+    params, schedule = scenario.params(), scenario.schedule()
+    input_bits = scenario.input_bits(seed)
     byzantine = _select_byzantine(n, byzantine_count, seed)
 
     def factory(u: int):
@@ -144,7 +138,7 @@ def run_byzantine_agreement(
     network = Network(
         n, factory, seed=seed, congest=CongestBudget(n), inputs=input_bits
     )
-    run = network.run(schedule.last_round)
+    run = network.run(scenario.horizon())
     outcome = ByzantineOutcome(
         n=n,
         alpha=alpha,
@@ -177,8 +171,8 @@ def run_byzantine_election(
     """Leader election with forging or equivocating Byzantine nodes."""
     if attack not in ("rank_forger", "equivocator"):
         raise ValueError(f"unknown election attack {attack!r}")
-    params = params or Params(n=n, alpha=alpha)
-    schedule = LeaderElectionSchedule.from_params(params)
+    scenario = Scenario("election", n, alpha, inputs=None, params_override=params)
+    params, schedule = scenario.params(), scenario.schedule()
     byzantine = _select_byzantine(n, byzantine_count, seed)
     attacker = RankForger if attack == "rank_forger" else Equivocator
 
@@ -188,7 +182,7 @@ def run_byzantine_election(
         return LeaderElectionProtocol(u, params, schedule)
 
     network = Network(n, factory, seed=seed, congest=CongestBudget(n))
-    run = network.run(schedule.last_round)
+    run = network.run(scenario.horizon())
     outcome = ByzantineOutcome(
         n=n,
         alpha=alpha,

@@ -59,8 +59,8 @@ _OMISSION_BUCKETS = 1 << 20
 
 
 # ----------------------------------------------------------------------
-# Attacker protocols (moved here from extensions/byzantine.py, which
-# re-exports them; the E15 measurement runners stay there)
+# Attacker protocols (the E15 measurement runners that drive them live in
+# extensions/byzantine.py)
 # ----------------------------------------------------------------------
 
 

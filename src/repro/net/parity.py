@@ -22,7 +22,7 @@ not just the fault-free path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..chaos.script import CrashScript, DeliveryFilter
@@ -126,25 +126,28 @@ def default_script(spec: WireSpec, victims: int = 2) -> CrashScript:
     families: one victim loses *all* of its final-round messages, the
     other keeps a pseudo-random half (partial final-round delivery).
     """
-    if spec.protocol == "flooding":
-        budget = victims  # flooding tolerates any f with f + 1 rounds
-    else:
-        budget = spec.params().max_faulty
-    count = max(1, min(victims, budget))
-    chosen: List[int] = []
+    drawn: List[int] = []
     probe = 0
-    while len(chosen) < count:
+    while len(drawn) < min(victims, spec.n):
         node = derive_seed(spec.seed, "parity-victim", probe) % spec.n
         probe += 1
-        if node not in chosen:
-            chosen.append(node)
-    if spec.protocol == "flooding":
-        horizon = count + 1 + 2 + spec.extra_rounds
-    else:
-        horizon = spec.horizon()
+        if node not in drawn:
+            drawn.append(node)
+    # The spec as scripted owns budget and horizon: flooding sizes both to
+    # the script's faulty set, the paper protocols derive them from (n, α).
+    budget = spec.with_(
+        script=CrashScript(faulty=tuple(drawn), crashes={})
+    ).fault_budget()
+    chosen = drawn[: max(1, min(victims, budget))]
+    script = CrashScript(
+        faulty=tuple(sorted(chosen)),
+        crashes={},
+        label=f"parity/{spec.protocol}/n{spec.n}/seed{spec.seed}",
+    )
+    horizon = spec.with_(script=script).horizon()
     crashes: Dict[int, Tuple[int, DeliveryFilter]] = {}
     for index, node in enumerate(chosen):
-        round_ = max(1, ((index + 1) * horizon) // (count + 1))
+        round_ = max(1, ((index + 1) * horizon) // (len(chosen) + 1))
         if index % 2 == 0:
             filter_ = DeliveryFilter(
                 kind="keep_fraction", fraction=0.5, salt=spec.seed
@@ -152,11 +155,7 @@ def default_script(spec: WireSpec, victims: int = 2) -> CrashScript:
         else:
             filter_ = DeliveryFilter(kind="drop_all")
         crashes[node] = (round_, filter_)
-    return CrashScript(
-        faulty=tuple(sorted(chosen)),
-        crashes=crashes,
-        label=f"parity/{spec.protocol}/n{spec.n}/seed{spec.seed}",
-    )
+    return replace(script, crashes=crashes)
 
 
 def parity_specs(

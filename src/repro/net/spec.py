@@ -1,19 +1,21 @@
 """Wire-trial specification and the sim/wire shared vocabulary.
 
-A :class:`WireSpec` pins everything a real-network trial needs — protocol,
-size, seed, input pattern, fault script, and the transport tunables — and
-is the unit the parity oracle quantifies over: for one ``(spec, seed,
+A :class:`WireSpec` is a :class:`~repro.scenario.Scenario` (protocol,
+size, alpha, input pattern, fault budget, extra rounds) plus what only a
+wire trial has — seed, fault script, and the transport tunables — and is
+the unit the parity oracle quantifies over: for one ``(spec, seed,
 script)`` the simulator and the wire backend must produce identical
-message accounting and identical outcomes.
+message accounting and identical outcomes.  Params, horizon and fault
+budget are the scenario's, on both sides.
 
 To make "identical" checkable, this module also owns:
 
-* protocol construction (:meth:`WireSpec.make_runtime`) — the *same*
-  protocol classes, parameters, schedules, and per-node RNG streams the
+* node construction (:meth:`WireSpec.make_runtime`) — the scenario's own
+  protocol factory and knowledge model plus the per-node RNG streams the
   sim backends use, behind the :class:`~repro.sim.adapter.NodeRuntime`
   seam;
-* the sim reference run (:func:`sim_reference`) — the discrete-round
-  engine driven through the public runners;
+* the sim reference run (:func:`sim_reference`) — one run of the spec's
+  scenario through the runners' execute path;
 * outcome canonicalisation (:func:`canonical_outcome`,
   :func:`wire_outcome`) — both sides reduce to one plain-dict shape, and
   the wire side reuses the *runner's own evaluators* over reconstructed
@@ -31,42 +33,35 @@ from :mod:`repro.rng`'s hash-derived streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from ..chaos.script import CrashScript
-from ..core.runner import (
-    _evaluate_agreement,
-    _evaluate_leader_election,
-    make_inputs,
-)
-from ..core.schedule import AgreementSchedule, LeaderElectionSchedule
+from ..core.runner import evaluate, execute
 from ..errors import ConfigurationError
 from ..faults.strategies import named_adversary
 from ..params import CongestBudget, Params
 from ..rng import RngFactory
+from ..scenario import Scenario
 from ..sim.adapter import NodeRuntime
 from ..sim.metrics import Metrics
 from ..sim.network import RunResult
 from ..sim.node import Protocol
-from ..types import Decision, Knowledge, NodeState
+from ..types import Decision, NodeState
 
 #: Protocols the wire backend can run (same logic objects as the sim).
 WIRE_PROTOCOLS = ("election", "agreement", "flooding")
 
 
 @dataclass(frozen=True)
-class WireSpec:
-    """Everything one wire trial needs, JSON-round-trippable."""
+class WireSpec(Scenario):
+    """A :class:`~repro.scenario.Scenario` plus the seed, the fault script
+    and the transport tunables of one wire trial; JSON-round-trippable."""
 
-    protocol: str
-    n: int
     alpha: float = 0.75
+    params_override: Optional[Params] = field(default=None, init=False)
     seed: int = 0
-    inputs: str = "mixed"
-    faulty_count: Optional[int] = None
-    extra_rounds: int = 0
     script: Optional[CrashScript] = None
     # -- transport tunables (no effect on accounting or outcomes) -------
     host: str = "127.0.0.1"
@@ -76,54 +71,16 @@ class WireSpec:
     setup_timeout: float = 20.0
     trial_timeout: float = 180.0
 
+    supported: ClassVar[Tuple[str, ...]] = WIRE_PROTOCOLS
+    kind: ClassVar[str] = "wire protocol"
+
     def __post_init__(self) -> None:
-        if self.protocol not in WIRE_PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown wire protocol {self.protocol!r}; "
-                f"choose from {WIRE_PROTOCOLS}"
-            )
+        super().__post_init__()
         if self.heartbeat_interval <= 0 or self.suspicion_threshold < 2:
             raise ConfigurationError(
                 "heartbeat_interval must be positive and "
                 "suspicion_threshold >= 2"
             )
-
-    # ------------------------------------------------------------------
-    # Derived model quantities (must match the sim runners exactly)
-    # ------------------------------------------------------------------
-
-    def params(self) -> Params:
-        """Paper parameters (election/agreement only)."""
-        return Params(n=self.n, alpha=self.alpha)
-
-    def resolved_faulty_count(self) -> int:
-        """The fault budget the sim runner would use for this spec."""
-        if self.faulty_count is not None:
-            return self.faulty_count
-        if self.protocol == "flooding":
-            return len(self.script.faulty) if self.script else 0
-        return self.params().max_faulty
-
-    def horizon(self) -> int:
-        """The nominal round count the sim runner would request."""
-        if self.protocol == "election":
-            schedule = LeaderElectionSchedule.from_params(self.params())
-            return schedule.last_round + self.extra_rounds
-        if self.protocol == "agreement":
-            schedule = AgreementSchedule.from_params(self.params())
-            return schedule.last_round + self.extra_rounds
-        # flooding: f + 1 protocol rounds, run for two extra delivery rounds
-        return self.resolved_faulty_count() + 1 + 2 + self.extra_rounds
-
-    def knowledge(self) -> Knowledge:
-        """Knowledge model of the protocol (flooding assumes KT1)."""
-        return Knowledge.KT1 if self.protocol == "flooding" else Knowledge.KT0
-
-    def input_bits(self) -> Optional[List[int]]:
-        """Agreement/flooding input vector (None for election)."""
-        if self.protocol == "election":
-            return None
-        return make_inputs(self.n, self.inputs, self.seed)
 
     def adversary(self) -> Any:
         """The adversary object the sim reference run uses."""
@@ -132,7 +89,8 @@ class WireSpec:
         return named_adversary("none", self.horizon())
 
     def faulty_set(self) -> Tuple[int, ...]:
-        """Static faulty set (scripted runs only; empty otherwise)."""
+        """Static faulty set (scripted runs only; empty otherwise).
+        Flooding sizes its derived fault budget, hence its horizon, to it."""
         return self.script.faulty if self.script else ()
 
     def validate(self) -> None:
@@ -167,46 +125,22 @@ class WireSpec:
                 raise ConfigurationError(
                     f"script crashes node {node} in round {round_} (< 1)"
                 )
-        if len(faulty) > self.resolved_faulty_count():
+        if len(faulty) > self.fault_budget():
             raise ConfigurationError(
                 f"script has {len(faulty)} faulty nodes; the budget is "
-                f"{self.resolved_faulty_count()}"
+                f"{self.fault_budget()}"
             )
 
     # ------------------------------------------------------------------
     # Node-side construction
     # ------------------------------------------------------------------
 
-    def make_protocol(self, node_id: int) -> Protocol:
-        """Build node ``node_id``'s protocol exactly as the runner does."""
-        if self.protocol == "election":
-            from ..core.leader_election import LeaderElectionProtocol
-
-            params = self.params()
-            schedule = LeaderElectionSchedule.from_params(params)
-            return LeaderElectionProtocol(node_id, params, schedule)
-        if self.protocol == "agreement":
-            from ..core.agreement import AgreementProtocol
-
-            params = self.params()
-            schedule = AgreementSchedule.from_params(params)
-            bits = self.input_bits()
-            assert bits is not None
-            return AgreementProtocol(node_id, params, schedule, bits[node_id])
-        from ..baselines.flooding import FloodingConsensusProtocol
-
-        bits = self.input_bits()
-        assert bits is not None
-        return FloodingConsensusProtocol(
-            node_id, self.n, bits[node_id], self.resolved_faulty_count() + 1
-        )
-
     def make_runtime(self, node_id: int) -> NodeRuntime:
         """Build node ``node_id``'s engine-faithful runtime."""
         return NodeRuntime(
             node_id,
             self.n,
-            self.make_protocol(node_id),
+            self.protocol_factory(self.seed)(node_id),
             RngFactory(self.seed).node_stream(node_id),
             knowledge=self.knowledge(),
             congest=CongestBudget(self.n),
@@ -237,32 +171,11 @@ class WireSpec:
         return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "WireSpec":
-        raw_script = data.get("script")
-        script = (
-            CrashScript.from_dict(raw_script)  # type: ignore[arg-type]
-            if raw_script is not None
-            else None
-        )
-        faulty_count = data.get("faulty_count")
-        return cls(
-            protocol=str(data["protocol"]),
-            n=int(data["n"]),  # type: ignore[arg-type]
-            alpha=float(data.get("alpha", 0.75)),  # type: ignore[arg-type]
-            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-            inputs=str(data.get("inputs", "mixed")),
-            faulty_count=(
-                int(faulty_count) if faulty_count is not None else None  # type: ignore[arg-type]
-            ),
-            extra_rounds=int(data.get("extra_rounds", 0)),  # type: ignore[arg-type]
-            script=script,
-            host=str(data.get("host", "127.0.0.1")),
-            heartbeat_interval=float(data.get("heartbeat_interval", 0.1)),  # type: ignore[arg-type]
-            suspicion_threshold=int(data.get("suspicion_threshold", 30)),  # type: ignore[arg-type]
-            round_timeout=float(data.get("round_timeout", 30.0)),  # type: ignore[arg-type]
-            setup_timeout=float(data.get("setup_timeout", 20.0)),  # type: ignore[arg-type]
-            trial_timeout=float(data.get("trial_timeout", 180.0)),  # type: ignore[arg-type]
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> "WireSpec":
+        script = data.get("script")
+        if script is not None:
+            data = {**data, "script": CrashScript.from_dict(script)}
+        return super().from_dict(data)
 
     def with_(self, **changes: object) -> "WireSpec":
         """Copy with fields replaced (mirrors ``Params.with_``)."""
@@ -398,40 +311,7 @@ def wire_outcome(
         horizon=metrics.horizon,
         max_delay=0,
     )
-    if spec.protocol == "election":
-        result: object = _evaluate_leader_election(
-            run, spec.params(), spec.seed, spec.adversary()
-        )
-    elif spec.protocol == "agreement":
-        bits = spec.input_bits()
-        assert bits is not None
-        result = _evaluate_agreement(
-            run, spec.params(), spec.seed, spec.adversary(), bits
-        )
-    else:
-        result = _flooding_outcome(spec, run)
-    return canonical_outcome(spec, result)
-
-
-def _flooding_outcome(spec: WireSpec, run: RunResult) -> object:
-    from ..baselines.base import BaselineOutcome, evaluate_explicit_agreement
-
-    bits = spec.input_bits()
-    assert bits is not None
-    outcome = BaselineOutcome(
-        protocol="flooding",
-        n=spec.n,
-        faulty=run.faulty,
-        crashed=run.crashed,
-        metrics=run.metrics,
-        inputs=list(bits),
-    )
-    for u in run.alive:
-        decided = run.protocol(u).decided  # type: ignore[attr-defined]
-        if decided is not None:
-            outcome.decisions[u] = decided
-    outcome.success = evaluate_explicit_agreement(outcome, run.alive)
-    return outcome
+    return canonical_outcome(spec, evaluate(spec, run, spec.seed, spec.adversary()))
 
 
 # ----------------------------------------------------------------------
@@ -442,46 +322,10 @@ def _flooding_outcome(spec: WireSpec, run: RunResult) -> object:
 def sim_reference(
     spec: WireSpec, backend: str = "ref"
 ) -> Tuple[Metrics, Dict[str, object]]:
-    """Run ``spec`` on the discrete-round simulator (the parity baseline)."""
-    if spec.protocol == "election":
-        from ..core.runner import elect_leader
-
-        result: object = elect_leader(
-            n=spec.n,
-            alpha=spec.alpha,
-            seed=spec.seed,
-            adversary=spec.adversary(),
-            faulty_count=spec.resolved_faulty_count(),
-            extra_rounds=spec.extra_rounds,
-            backend=backend,
-        )
-    elif spec.protocol == "agreement":
-        from ..core.runner import agree
-
-        result = agree(
-            n=spec.n,
-            alpha=spec.alpha,
-            inputs=spec.inputs,
-            seed=spec.seed,
-            adversary=spec.adversary(),
-            faulty_count=spec.resolved_faulty_count(),
-            extra_rounds=spec.extra_rounds,
-            backend=backend,
-        )
-    else:
-        from ..baselines.flooding import flooding_consensus
-
-        bits = spec.input_bits()
-        assert bits is not None
-        result = flooding_consensus(
-            spec.n,
-            bits,
-            seed=spec.seed,
-            adversary=spec.script,
-            faulty_count=spec.resolved_faulty_count(),
-            backend=backend,
-        )
-    return result.metrics, canonical_outcome(spec, result)  # type: ignore[attr-defined]
+    """Run ``spec`` on the discrete-round simulator (the parity baseline):
+    one run of the spec's own scenario, so both sides share its horizon."""
+    result = execute(spec, spec.seed, spec.adversary(), backend=backend)
+    return result.metrics, canonical_outcome(spec, result)
 
 
 def metrics_dict(metrics: Metrics) -> Dict[str, object]:

@@ -54,25 +54,25 @@ def ben_or_trial(
 ) -> Dict[str, Any]:
     """One Ben-Or consensus trial → its ``summary()`` dict.
 
-    ``alpha`` maps to the crash budget the other tasks use
-    (``Params.max_faulty``), capped at Ben-Or's ``< n/2`` resilience;
-    ``max_delay`` > 0 runs the trial under bounded-delay delivery.
+    ``alpha`` maps to the Ben-Or fault budget of
+    :meth:`~repro.scenario.Scenario.fault_budget` (``Params.max_faulty``
+    capped at ``< n/2``); ``max_delay`` > 0 runs the trial under
+    bounded-delay delivery.
     """
     from ..baselines.ben_or import ben_or_consensus, ben_or_horizon
-    from ..core.runner import make_inputs
     from ..faults import named_adversary
-    from ..params import Params
+    from ..scenario import Scenario
     from ..sim.delivery import UniformDelay
 
     timers = _make_timers(profile)
-    budget = min(Params(n=n, alpha=alpha).max_faulty, (n - 1) // 2)
+    scenario = Scenario("ben_or", n, alpha, inputs=inputs)
     delivery = UniformDelay(max_delay, salt=seed) if max_delay else None
     outcome = ben_or_consensus(
         n=n,
-        inputs=make_inputs(n, inputs, seed),
+        inputs=scenario.input_bits(seed),
         seed=seed,
         adversary=named_adversary(adversary, ben_or_horizon(max_delay)),
-        faulty_count=budget,
+        faulty_count=scenario.fault_budget(),
         delivery=delivery,
         timers=timers,
         **kwargs,

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ...baselines.flooding import MSG_FLOOD
 from ...faults.adversary import Adversary
 from ...rng import RngFactory
+from ...scenario import Scenario
 from ...sim.message import Envelope, Message
 from ...sim.network import RunResult
 from ...types import NodeId, Round
@@ -59,13 +60,14 @@ class _FloodingVec(VecEngineBase):
         adversary: Adversary,
         max_faulty: int,
         rounds: int,
+        horizon: int,
     ) -> None:
         np = np_module()
         self.np = np
         self.n = n
         self.inputs = list(inputs)
         self.rounds = rounds
-        self.total_rounds = rounds + 2
+        self.total_rounds = horizon
         # The protocol draws nothing from the node streams; only the
         # adversary stream is consumed (RngFactory keeps the derivation
         # identical to the reference network).
@@ -253,6 +255,9 @@ def run_flooding_vec(
     max_faulty: int,
     rounds: int,
 ) -> RunResult:
-    """Run flooding consensus (``rounds = f + 1``) on the vec backend."""
-    engine = _FloodingVec(n, inputs, seed, adversary, max_faulty, rounds)
+    """Run flooding consensus (``rounds = f + 1``) on the vec backend, over
+    the horizon of the flooding :class:`~repro.scenario.Scenario` with
+    that ``f`` (the runners pass their scenario's horizon directly)."""
+    horizon = Scenario("flooding", n, 1.0, faulty_count=rounds - 1).horizon()
+    engine = _FloodingVec(n, inputs, seed, adversary, max_faulty, rounds, horizon)
     return engine.run()

@@ -86,11 +86,28 @@ class TestDefaultScript:
 
 
 class TestLoopbackParity:
-    @pytest.mark.parametrize("protocol", WIRE_PROTOCOLS)
-    @pytest.mark.parametrize("mode", PARITY_MODES)
-    def test_loopback_matches_sim_exactly(self, protocol, mode):
+    # The extra_rounds axis; its 0 cells keep their historical ids.
+    @pytest.mark.parametrize(
+        "protocol,mode,extra_rounds",
+        [
+            pytest.param(
+                protocol,
+                mode,
+                extra,
+                id=f"{mode}-{protocol}" + (f"-extra{extra}" if extra else ""),
+            )
+            for extra in (0, 2)
+            for mode in PARITY_MODES
+            for protocol in WIRE_PROTOCOLS
+        ],
+    )
+    def test_loopback_matches_sim_exactly(self, protocol, mode, extra_rounds):
         reports = parity_grid(
-            protocols=[protocol], sizes=[8], modes=[mode], backend="loopback"
+            protocols=[protocol],
+            sizes=[8],
+            modes=[mode],
+            backend="loopback",
+            extra_rounds=extra_rounds,
         )
         assert len(reports) == 1
         report = reports[0]
