@@ -190,6 +190,8 @@ class VecEngineBase:
         self.metrics = Metrics()
         self._round: Round = 0
         self._outbox_cache: Dict[NodeId, List[Envelope]] = {}
+        self._alive_faulty: Set[NodeId] = set()
+        self._alive_faulty_crashes = -1  # crash count it was built at
 
     # -- hooks ----------------------------------------------------------
 
@@ -205,7 +207,15 @@ class VecEngineBase:
     # -- adversary driving ----------------------------------------------
 
     def _faulty_alive(self) -> Set[NodeId]:
-        return {u for u in self.faulty if u not in self.crashed}
+        # Crashes only accumulate, so the set changes only when
+        # ``crashed`` grows; a fresh set (never mutated in place) keeps
+        # every earlier view's snapshot intact.
+        if len(self.crashed) != self._alive_faulty_crashes:
+            self._alive_faulty_crashes = len(self.crashed)
+            self._alive_faulty = {
+                u for u in self.faulty if u not in self.crashed
+            }
+        return self._alive_faulty
 
     def _view(self, outboxes: Optional[Mapping] = None) -> RoundView:
         return RoundView(

@@ -11,7 +11,8 @@ edge list instead of one Python iteration per message:
   messages per (referee, member) edge; the CONGEST FIFO drains them one
   per round on a *fixed* schedule, so round ``r`` transmits item
   ``r - 2`` whose payload is a closed form of the member order
-  (``q = j + (j >= pos)``) — no queues are materialised at all;
+  (``q = j + (j >= pos)``) — on every member edge, mutual pairs
+  included, with no queues materialised at all;
 * ``LE_AGG`` fan-out — referees touched by proposal deliveries reply to
   all registered members: one boolean gather over the edge list;
 * candidate batches (``LE_PROP``/``LE_CONF``) — the scalar state machine
@@ -25,10 +26,13 @@ The one place array order cannot express the reference engine is a
 *mutually sampling* candidate pair (u sampled x and x sampled u): those
 ordered edges can receive two enqueues in one round and build a real FIFO
 backlog.  They are detected up front and routed through exact Python
-deques (``py edges``); everything else provably carries at most one
-message per round.  Ranks are folded as *ordinals* (dense indices into
-the sorted unique rank list) because ranks reach ``n^4 > 2^63`` at
-``n = 10^5``; ordinals preserve ``<``/``==``, which is all the folds use.
+deques (``py edges``) for the iteration phase (``LE_AGG``, ``LE_PROP``,
+``LE_CONF``); the drain guard ends every LIST drain before the first of
+those pushes, so the deques never hold LIST items.  Every other edge
+provably carries at most one message per round.  Ranks are folded as
+*ordinals* (dense indices into the sorted unique rank list) because ranks
+reach ``n^4 > 2^63`` at ``n = 10^5``; ordinals preserve ``<``/``==``,
+which is all the folds use.
 
 Crash parity: the adversary runs unmodified against a mirrored
 :class:`~repro.faults.adversary.RoundView`; a victim's wire batch is
@@ -206,7 +210,7 @@ class _ElectionVec(VecEngineBase):
         self.ref_start = np.zeros(n, dtype=np.int64)
         self.ref_d = np.zeros(n, dtype=np.int64)
         self.max_drain = 0
-        self.vec_list_remaining = 0
+        self.list_remaining = 0
 
         # -- python FIFOs for the mutual-pair edges.
         self.py_fifo: Dict[Tuple[NodeId, NodeId], Deque] = {}
@@ -259,7 +263,7 @@ class _ElectionVec(VecEngineBase):
         return self._build_result()
 
     def _quiescent(self, r: Round) -> bool:
-        if self.staged_delivered or self.vec_list_remaining or self.py_backlog:
+        if self.staged_delivered or self.list_remaining or self.py_backlog:
             return False
         if not self.m:
             return True
@@ -347,11 +351,7 @@ class _ElectionVec(VecEngineBase):
         elif self.g_built:
             # LIST drain (closed-form payloads).
             if r <= self.max_drain:
-                mask = (
-                    (~self.g_py)
-                    & (self.g_d >= r)
-                    & (self.crash_round[self.g_ref] >= r)
-                )
+                mask = (self.g_d >= r) & (self.crash_round[self.g_ref] >= r)
                 if mask.any():
                     list_src = self.g_ref[mask]
                     list_ci = self.g_ci[mask]
@@ -365,7 +365,7 @@ class _ElectionVec(VecEngineBase):
                         kind_counts.get(MSG_LIST, 0) + cnt
                     )
                     np.add.at(self.pn, list_src, 1)
-                    self.vec_list_remaining -= cnt
+                    self.list_remaining -= cnt
             # AGG fan-out over vec member edges.
             if touched_now.any():
                 mask = touched_now[self.g_ref] & ~self.g_py
@@ -520,10 +520,6 @@ class _ElectionVec(VecEngineBase):
                         (ci, self.ord_of[fields[1]], bool(fields[0]))
                     )
                     self.woken[ci] = True
-                elif kind == MSG_LIST:
-                    ci = int(self.cand_index[dst])
-                    self.R[ci, self.ord_of[fields[0]]] = True
-                    self.woken[ci] = True
                 else:  # LE_PROP / LE_CONF
                     py_prop.append(
                         (dst, self.ord_of[fields[1]], self.ord_of[fields[0]])
@@ -597,7 +593,8 @@ class _ElectionVec(VecEngineBase):
         referee's ``_registered`` dict is its delivered member edges in
         ascending candidate order.  The pairwise exchange enqueues, per
         (referee, member) edge, ``d - 1`` LIST payloads whose order is
-        the closed form ``q = j + (j >= pos)``.
+        the closed form ``q = j + (j >= pos)``; the transmit phase drains
+        them from these arrays, so nothing is enqueued here.
         """
         np = self.np
         reg_idx = np.flatnonzero(self.e_reg)
@@ -626,42 +623,15 @@ class _ElectionVec(VecEngineBase):
         )
         self.g_d = np.repeat(counts, counts)
         self.max_drain = int(counts.max())
-        self.vec_list_remaining = int(((self.g_d - 1) * ~self.g_py).sum())
+        self.list_remaining = int((self.g_d - 1).sum())
 
-        # Seed the python FIFOs of mutual-pair member edges with their
-        # LIST items, and index py members per referee for AGG pushes.
-        py_idx = np.flatnonzero(self.g_py)
-        for i in py_idx.tolist():
-            x = int(self.g_ref[i])
-            d = int(self.g_d[i])
-            dst = self.cand_nodes[int(self.g_ci[i])]
-            self.py_member_refs.setdefault(x, []).append(dst)
-            if d < 2:
-                continue
-            pos = int(self.g_pos[i])
-            start = int(self.ref_start[x])
-            items = []
-            for j in range(d - 1):
-                q = j + (1 if j >= pos else 0)
-                rank = self.uniq[int(self.g_member_ord[start + q])]
-                items.append((MSG_LIST, (rank,), 9 + field_bits(rank)))
-            self.py_fifo[(x, dst)] = deque(items)
-            self.py_backlog += len(items)
-        # Key-creation order at the sender is the swapped member order
-        # [a1, a0, a2, ...]; restrict it to the py members.
-        for x in list(self.py_member_refs):
-            d = int(self.ref_d[x])
-            if d < 2:
-                continue
-            start = int(self.ref_start[x])
-            members = [
-                self.cand_nodes[int(self.g_ci[start + q])] for q in range(d)
-            ]
-            swapped = [members[1], members[0]] + members[2:]
-            py_set = set(self.py_member_refs[x])
-            key_order = [dst for dst in swapped if dst in py_set]
-            if key_order:
-                self.open_order[x] = key_order
+        # Index py members per referee for AGG pushes.  Their LIST items
+        # drain on the closed form like every other member edge: the drain
+        # ends before the first AGG/PROP push, so it never shares a FIFO.
+        for i in np.flatnonzero(self.g_py).tolist():
+            self.py_member_refs.setdefault(int(self.g_ref[i]), []).append(
+                self.cand_nodes[int(self.g_ci[i])]
+            )
 
     # ------------------------------------------------------------------
     # Candidate invocation
@@ -817,13 +787,8 @@ class _ElectionVec(VecEngineBase):
         self.crash_round[victim] = r
         if self.g_built:
             d = int(self.ref_d[victim])
-            remaining = d - r
-            if d >= 2 and remaining > 0:
-                start = int(self.ref_start[victim])
-                vec_members = d - int(
-                    self.g_py[start : start + d].sum()
-                )
-                self.vec_list_remaining -= remaining * vec_members
+            if d > r:  # d - r LIST items left on each of d member edges
+                self.list_remaining -= (d - r) * d
         for dst in self.open_order.pop(victim, []):
             fifo = self.py_fifo.pop((victim, dst))
             self.py_backlog -= len(fifo)

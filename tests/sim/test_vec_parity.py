@@ -102,6 +102,67 @@ def test_election_parity_across_seeds(seed):
     _assert_runs_match(ref, vec)
 
 
+#: n in {96, 128} x adversaries {none, random, staggered} x seeds {1, 7},
+#: pairwise-covering: every (n, adversary), (n, seed) and (adversary, seed)
+#: pair occurs, at half the reference-engine time of the full product.
+LOW_ALPHA_GRID = [
+    (96, "none", 1), (96, "random", 7), (96, "staggered", 1),
+    (128, "none", 7), (128, "random", 1), (128, "staggered", 7),
+]
+
+
+@pytest.mark.parametrize("n,advname,seed", LOW_ALPHA_GRID)
+def test_election_parity_low_alpha(n, advname, seed):
+    """α=0.25: the committee is most of the network, so most member edges
+    are mutual pairs whose LIST drain runs on the closed form."""
+    ref, vec = _election_pair(n, 0.25, seed=seed, advname=advname)
+    _assert_runs_match(ref, vec)
+    for u in range(n):
+        rp, vp = ref.protocol(u), vec.protocol(u)
+        assert rp.rank == vp.rank
+        assert rp.is_candidate == vp.is_candidate
+        assert rp.state == vp.state
+        assert rp.leader_rank == vp.leader_rank
+
+
+def test_mutual_pair_lists_never_reach_a_deque():
+    """Mutual-pair member edges with d >= 2 exist at n=128, α=0.25, and
+    their LIST items drain without being enqueued."""
+    from repro.sim.vec.election import _ElectionVec
+
+    params = Params(n=128, alpha=0.25)
+    schedule = LeaderElectionSchedule.from_params(params)
+    total = schedule.last_round
+    engine = _ElectionVec(
+        params, schedule, 1, _resolve_adversary("random", total),
+        params.max_faulty, total,
+    )
+    for r in (1, 2):
+        engine._round = r
+        engine._execute_round(r)
+    assert engine.g_py.any()
+    assert int(engine.g_d[engine.g_py].max()) >= 2
+    assert engine.py_backlog == 0
+    assert not engine.py_fifo
+
+
+def test_alpha_floor_message_count_on_vec(monkeypatch):
+    """The α-floor election (the permissionless_committee example) runs on
+    vec, not a silent ref fallback, and keeps the reference count."""
+    from repro.core import runner
+    from repro.params import alpha_floor
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("backend='vec' fell back to the reference engine")
+
+    monkeypatch.setattr(runner, "Network", no_fallback)
+    result = elect_leader(
+        n=256, alpha=alpha_floor(256) * 1.01, seed=7, adversary="random",
+        backend="vec",
+    )
+    assert result.messages == 11936570
+
+
 # ----------------------------------------------------------------------
 # Agreement
 # ----------------------------------------------------------------------
