@@ -17,12 +17,20 @@ properties the wire backend advertises:
   that into a journalled failed trial naming the victim, well inside
   the trial timeout.
 
+Scenario B also checks the launcher's exit-status report: every victim
+died by SIGKILL, and no node exited through a traceback.  A last check
+finds no process left from any scenario: each trial's launcher, and
+every node forked from it, carries its journal dir (under ``--workdir``)
+in its argv.
+
 Exits 0 when every check passes, 1 otherwise.  Journals for all three
 scenarios land under ``--workdir`` so CI can upload them on failure.
 """
 
 import argparse
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -101,7 +109,12 @@ def scenario_scripted_sigkill(workdir):
     killed = {e["node"] for e in events if e["event"] == "crash"}
     if killed != set(expected):
         return fail(f"journal records kills of {killed}, script says {set(expected)}")
-    log(f"killed {sorted(killed)} on schedule; accounting and journal agree")
+    exits = trial.exits
+    if any(exits.get(node) != -signal.SIGKILL for node in expected):
+        return fail(f"a victim did not die by SIGKILL: exits {exits}")
+    if sorted(exits) != list(range(spec.n)) or set(exits.values()) - {0, -signal.SIGKILL}:
+        return fail(f"unexpected node exit statuses {exits}")
+    log(f"killed {sorted(killed)} on schedule; accounting, journal and exit statuses agree")
     return True
 
 
@@ -128,6 +141,35 @@ def scenario_unscripted_kill(workdir):
     return True
 
 
+def leftover_processes(workdir):
+    """Live (non-zombie) processes with an argv entry under ``workdir``."""
+    prefix = (str(workdir) + os.sep).encode()
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if state not in ("Z", "X") and any(a.startswith(prefix) for a in argv):
+            found.append(int(entry.name))
+    return found
+
+
+def check_no_leftovers(workdir):
+    log("no process from any scenario may outlive it")
+    if not Path("/proc/self/cmdline").exists():
+        log("no /proc here; leftover check skipped")
+        return True
+    leftovers = leftover_processes(workdir)
+    if leftovers:
+        return fail(f"processes {leftovers} outlived their trials")
+    log("no launcher or node process left")
+    return True
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="wire-smoke-work")
@@ -139,6 +181,7 @@ def main():
     ok = scenario_parity_cli(workdir) and ok
     ok = scenario_scripted_sigkill(workdir) and ok
     ok = scenario_unscripted_kill(workdir) and ok
+    ok = check_no_leftovers(workdir) and ok
     log("all scenarios green" if ok else "one or more scenarios FAILED")
     return 0 if ok else 1
 

@@ -19,63 +19,51 @@ workflow (``repro fuzz`` / ``repro replay``); ``docs/FAULTS.md`` for the
 fault hierarchy.
 """
 
-from .fuzzer import (
-    FAST_CONSTANTS,
-    PROTOCOLS,
-    SCENARIO_MODES,
-    FuzzCase,
-    FuzzReport,
-    FuzzScenario,
-    classify,
-    default_scenarios,
-    fuzz,
-    fuzz_one,
-    replay_case,
-    run_scenario,
-)
-from .grammar import FuzzedAdversary, GrammarConfig, sample_filter, sample_script
-from .oracles import (
-    FRAGILE_PREFIXES,
-    agreement_oracle,
-    downgrade_fragile,
-    leader_election_oracle,
-)
-from .script import (
-    SCRIPT_VERSION,
-    SUPPORTED_SCRIPT_VERSIONS,
-    CrashScript,
-    DeliveryFilter,
-    as_script,
-)
-from .shrink import ShrinkResult, shrink_case, shrink_script
+import importlib
 
-__all__ = [
-    "FAST_CONSTANTS",
-    "FRAGILE_PREFIXES",
-    "PROTOCOLS",
-    "SCENARIO_MODES",
-    "SCRIPT_VERSION",
-    "SUPPORTED_SCRIPT_VERSIONS",
-    "CrashScript",
-    "DeliveryFilter",
-    "FuzzCase",
-    "FuzzReport",
-    "FuzzScenario",
-    "FuzzedAdversary",
-    "GrammarConfig",
-    "ShrinkResult",
-    "agreement_oracle",
-    "as_script",
-    "classify",
-    "default_scenarios",
-    "downgrade_fragile",
-    "fuzz",
-    "fuzz_one",
-    "leader_election_oracle",
-    "replay_case",
-    "run_scenario",
-    "sample_filter",
-    "sample_script",
-    "shrink_case",
-    "shrink_script",
-]
+#: Public names by the submodule that defines them, imported on first use
+#: (PEP 562 ``__getattr__`` below): a wire node needs only
+#: :mod:`~repro.chaos.script`, not the fuzzer, grammar, oracles and shrinker.
+_EXPORTS = {
+    "fuzzer": (
+        "FAST_CONSTANTS",
+        "PROTOCOLS",
+        "SCENARIO_MODES",
+        "FuzzCase",
+        "FuzzReport",
+        "FuzzScenario",
+        "classify",
+        "default_scenarios",
+        "fuzz",
+        "fuzz_one",
+        "replay_case",
+        "run_scenario",
+    ),
+    "grammar": ("FuzzedAdversary", "GrammarConfig", "sample_filter", "sample_script"),
+    "oracles": (
+        "FRAGILE_PREFIXES",
+        "agreement_oracle",
+        "downgrade_fragile",
+        "leader_election_oracle",
+    ),
+    "script": (
+        "SCRIPT_VERSION",
+        "SUPPORTED_SCRIPT_VERSIONS",
+        "CrashScript",
+        "DeliveryFilter",
+        "as_script",
+    ),
+    "shrink": ("ShrinkResult", "shrink_case", "shrink_script"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -23,34 +23,40 @@ Modules:
   partial final-round delivery;
 * :mod:`~repro.net.rounds` — the round-barrier coordinator and the
   engine-exact :class:`RoundAccountant`;
-* :mod:`~repro.net.node` — the per-node process entrypoint
-  (``python -m repro.net.node``);
+* :mod:`~repro.net.node` — the node process, and the per-trial
+  launcher (``python -m repro.net.node``) that forks all ``n`` of them;
 * :mod:`~repro.net.driver` — :func:`run_wire_trial` /
   :func:`run_loopback_trial`, journals, teardown guarantees;
 * :mod:`~repro.net.parity` — the sim-vs-wire oracle and the parity grid.
 """
 
-from .driver import WireTrialResult, run_loopback_trial, run_wire_trial
-from .parity import (
-    PARITY_MODES,
-    ParityReport,
-    default_script,
-    parity_grid,
-    parity_specs,
-    run_parity_trial,
-)
-from .spec import WIRE_PROTOCOLS, WireSpec
+import importlib
 
-__all__ = [
-    "WIRE_PROTOCOLS",
-    "PARITY_MODES",
-    "WireSpec",
-    "WireTrialResult",
-    "ParityReport",
-    "default_script",
-    "parity_grid",
-    "parity_specs",
-    "run_loopback_trial",
-    "run_parity_trial",
-    "run_wire_trial",
-]
+#: Public names by the submodule that defines them.  The package imports
+#: none of them up front (PEP 562 ``__getattr__`` below): a node launcher
+#: runs ``python -m repro.net.node``, which must not pull in the driver,
+#: the parity oracle or the chaos fuzzer it never uses.
+_EXPORTS = {
+    "driver": ("WireTrialResult", "run_loopback_trial", "run_wire_trial"),
+    "parity": (
+        "PARITY_MODES",
+        "ParityReport",
+        "default_script",
+        "parity_grid",
+        "parity_specs",
+        "run_parity_trial",
+    ),
+    "spec": ("WIRE_PROTOCOLS", "WireSpec"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,14 +1,18 @@
 """Trial drivers: real node processes over TCP, and an in-process twin.
 
 :func:`run_wire_trial` is the headline entry point.  It binds the
-coordinator's listening socket, spawns one ``python -m repro.net.node``
-process per model node (stderr redirected into a per-node journal file),
-runs the :class:`~repro.net.rounds.WireCoordinator` under the spec's
-overall ``trial_timeout``, and **always** tears the fleet down — a wire
-trial ends in a result or a journalled failure, never a hang or an
-orphaned process.  The result carries the same :class:`Metrics` object
-and canonical outcome dict the sim runners produce, which is what the
-parity oracle diffs.
+coordinator's listening socket, starts one *launcher* interpreter
+(``python -m repro.net.node``, in its own process group) that forks the
+trial's ``n`` node processes, runs the
+:class:`~repro.net.rounds.WireCoordinator` under the spec's overall
+``trial_timeout``, and **always** tears the fleet down — a wire trial
+ends in a result or a journalled failure, never a hang or an orphaned
+process.  Teardown closes the launcher's stdin; the launcher reaps its
+nodes and reports their exit statuses (``WireTrialResult.exits``), and a
+SIGKILL to its process group then sweeps up whatever a launcher that
+died early left behind.  The result carries the same :class:`Metrics`
+object and canonical outcome dict the sim runners produce, which is what
+the parity oracle diffs.
 
 :func:`run_loopback_trial` is the transport-free twin: the same
 :class:`~repro.sim.adapter.NodeRuntime` per node and the same
@@ -21,9 +25,11 @@ itself.
 
 Journal layout (``journal_dir``)::
 
-    node-<u>.log        per-node stderr (tracebacks, interpreter noise)
-    coordinator.jsonl   one JSON object per control-plane event
-    result.json         the trial verdict, metrics, and outcome
+    launcher.log        the launcher's stderr
+    node-<u>.log        per-node stdout and stderr (tracebacks)
+    coordinator.jsonl   one JSON object per control-plane event, each
+                        with ``ts``: monotonic seconds since the trial began
+    result.json         the trial verdict, metrics, outcome and exits
 """
 
 from __future__ import annotations
@@ -31,19 +37,22 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import select
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import WireError
 from ..sim.message import Delivery
 from ..sim.metrics import Metrics
 from .faults import WireFaultPlan, kill_node
-from .rounds import RoundAccountant, WireCoordinator
+from .rounds import RoundAccountant, WireCoordinator, WireRunSummary
 from .spec import WireSpec, metrics_dict, snapshot_outputs, wire_outcome
 
 
@@ -68,6 +77,9 @@ class WireTrialResult:
     horizon: int = 0
     journal_dir: Optional[str] = None
     frames: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    #: Node exit statuses reported by the launcher, ``Popen.returncode``
+    #: style: 0 for a clean exit, ``-9`` for a SIGKILL.
+    exits: Dict[int, int] = field(default_factory=dict)
 
     def metrics_dict(self) -> Optional[Dict[str, object]]:
         return metrics_dict(self.metrics) if self.metrics is not None else None
@@ -85,44 +97,116 @@ class WireTrialResult:
             "horizon": self.horizon,
             "journal_dir": self.journal_dir,
             "frames": {str(u): f for u, f in sorted(self.frames.items())},
+            "exits": {str(u): s for u, s in sorted(self.exits.items())},
         }
 
 
 def _source_root() -> Path:
-    """The directory to put on the node processes' ``PYTHONPATH``."""
+    """The directory to put on the launcher's ``PYTHONPATH``."""
     import repro
 
     return Path(repro.__file__).resolve().parents[1]
 
 
-def _spawn_node(
-    node_id: int,
-    spec_json: str,
-    coord: str,
-    journal_dir: Path,
-) -> "Tuple[subprocess.Popen[bytes], IO[bytes]]":
-    log = open(journal_dir / f"node-{node_id}.log", "wb")
+def _start_launcher(
+    spec: WireSpec, coord: str, journal_dir: Path
+) -> "subprocess.Popen[bytes]":
+    """Start the interpreter that forks the trial's node processes.
+
+    It runs in a new session, so its process group holds exactly the
+    launcher and its nodes.  stdin stays open until teardown; stdout
+    carries one JSON line of exit statuses at the end.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_source_root()) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.net.node",
-            "--node-id",
-            str(node_id),
-            "--coord",
-            coord,
-            "--spec",
-            spec_json,
-        ],
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
+    spec_json = json.dumps(spec.to_dict(), separators=(",", ":"))
+    with open(journal_dir / "launcher.log", "wb") as log:
+        return subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.net.node",
+                str(journal_dir.resolve()),
+                coord,
+                spec_json,
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=log,
+            env=env,
+            start_new_session=True,
+        )
+
+
+#: Seconds teardown waits for the launcher's exit-status report: its
+#: nodes' exit grace plus reaping, with room for a loaded machine.
+_REPORT_TIMEOUT = 10.0
+
+
+def _stop_launcher(launcher: "subprocess.Popen[bytes]") -> Dict[int, int]:
+    """Close the launcher's stdin and return the node exit statuses it
+    reports (empty if it died first or missed ``_REPORT_TIMEOUT``).
+
+    Then SIGKILL its process group: a no-op after a clean report, the
+    orphan sweep after a launcher that died early.  The launcher is
+    reaped last, so its pid — the group id — cannot have been reused.
+    """
+    assert launcher.stdin is not None and launcher.stdout is not None
+    launcher.stdin.close()
+    line = b""
+    if select.select([launcher.stdout], [], [], _REPORT_TIMEOUT)[0]:
+        line = launcher.stdout.readline()
+    try:
+        os.killpg(launcher.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    launcher.wait()
+    launcher.stdout.close()
+    try:
+        reported = json.loads(line)["exits"]
+    except (ValueError, KeyError, TypeError):
+        return {}
+    return {int(u): int(status) for u, status in reported.items()}
+
+
+async def _supervise(
+    coordinator: WireCoordinator,
+    server_socket: socket.socket,
+    launcher: "subprocess.Popen[bytes]",
+    timeout: float,
+) -> WireRunSummary:
+    """Run the coordinator under ``timeout``, failing fast if the
+    launcher dies mid-trial (its stdout reaches EOF only when it exits,
+    and it reports nothing before teardown)."""
+    assert launcher.stdout is not None
+    loop = asyncio.get_running_loop()
+    launcher_gone = loop.create_future()
+
+    def on_launcher_output() -> None:
+        if not launcher_gone.done():
+            launcher_gone.set_result(None)
+
+    fd = launcher.stdout.fileno()
+    loop.add_reader(fd, on_launcher_output)
+    trial = asyncio.ensure_future(
+        asyncio.wait_for(coordinator.run(server_socket), timeout=timeout)
     )
-    return proc, log
+    try:
+        await asyncio.wait(
+            {trial, launcher_gone}, return_when=asyncio.FIRST_COMPLETED
+        )
+    finally:
+        loop.remove_reader(fd)
+    if not trial.done():
+        trial.cancel()
+        await asyncio.gather(trial, return_exceptions=True)
+        raise WireError(
+            f"node launcher (pid {launcher.pid}) exited before the trial "
+            "ended"
+        )
+    return trial.result()
 
 
 def run_wire_trial(
@@ -134,9 +218,11 @@ def run_wire_trial(
     """Run one real-network trial: ``n`` OS processes, TCP, SIGKILLs.
 
     Never raises for trial-level faults and never hangs: system failures
-    (including an exhausted ``trial_timeout``) come back as a
-    ``WireTrialResult`` with ``ok=False`` and the journals intact.
+    (including an exhausted ``trial_timeout`` and a launcher that dies
+    mid-trial) come back as a ``WireTrialResult`` with ``ok=False`` and
+    the journals intact.
     """
+    started = time.monotonic()
     spec.validate()
     journal_path = Path(
         journal_dir
@@ -152,15 +238,17 @@ def run_wire_trial(
     coord = f"{spec.host}:{server_socket.getsockname()[1]}"
 
     events: List[Dict[str, Any]] = []
-    procs: "Dict[int, subprocess.Popen[bytes]]" = {}
-    logs: List[IO[bytes]] = []
-    spec_json = json.dumps(spec.to_dict(), separators=(",", ":"))
+
+    def journal(event: Dict[str, Any]) -> None:
+        events.append({"ts": round(time.monotonic() - started, 6), **event})
+
     coordinator = WireCoordinator(
         spec,
-        kill=lambda u: kill_node(procs[u]),
-        journal=events.append,
+        kill=lambda u: kill_node(coordinator.pids[u]),
+        journal=journal,
         kill_after=kill_after,
     )
+    launcher: "Optional[subprocess.Popen[bytes]]" = None
     result = WireTrialResult(
         ok=False,
         reason="trial did not start",
@@ -169,14 +257,12 @@ def run_wire_trial(
         journal_dir=str(journal_path),
     )
     try:
-        for u in range(spec.n):
-            proc, log = _spawn_node(u, spec_json, coord, journal_path)
-            procs[u] = proc
-            logs.append(log)
+        launcher = _start_launcher(spec, coord, journal_path)
+        journal({"event": "launched", "pid": launcher.pid})
         try:
             summary = asyncio.run(
-                asyncio.wait_for(
-                    coordinator.run(server_socket), timeout=spec.trial_timeout
+                _supervise(
+                    coordinator, server_socket, launcher, spec.trial_timeout
                 )
             )
         except WireError as exc:
@@ -201,15 +287,9 @@ def run_wire_trial(
             result.crashed = dict(coordinator.accountant.crashed)
             result.rounds = coordinator.accountant.metrics.rounds_executed
     finally:
-        for proc in procs.values():
-            kill_node(proc)
-        for proc in procs.values():
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                pass  # kernel will reap it with us; journals already flushed
-        for log in logs:
-            log.close()
+        if launcher is not None:
+            result.exits = _stop_launcher(launcher)
+            journal({"event": "reaped"})
         try:
             server_socket.close()
         except OSError:

@@ -26,8 +26,8 @@ script; :func:`kill_node` is the actual injector.
 
 from __future__ import annotations
 
+import os
 import signal
-import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -80,17 +80,21 @@ class WireFaultPlan:
         return max((r for r, _ in self.crashes.values()), default=0)
 
 
-def kill_node(proc: "subprocess.Popen[bytes]") -> None:
-    """Deliver the crash fault: SIGKILL, no warning, no cleanup handler.
+def kill_node(pid: int) -> None:
+    """Deliver the crash fault: SIGKILL node process ``pid``, no warning,
+    no cleanup handler.
 
-    Reaping is the driver's job (its synchronous teardown calls
-    ``wait()``); doing it here would block the coordinator's event loop.
+    ``pid`` is the one the node announced in its ``hello`` frame.  The
+    launcher that forked the node reaps it only at teardown, so until
+    then the pid names that node alone — alive, or a zombie that ignores
+    the signal.  Reaping is the launcher's job, not the coordinator's.
     """
-    if proc.poll() is None:
-        try:
-            proc.send_signal(signal.SIGKILL)
-        except (ProcessLookupError, OSError):
-            pass  # already gone — the fault beat us to it
+    if pid <= 0:
+        raise WireError(f"refusing to signal pid {pid}")
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # already gone — the fault beat us to it
 
 
 def check_report_against_filter(

@@ -1,9 +1,13 @@
-"""Per-node process entrypoint: ``python -m repro.net.node``.
+"""Node processes: ``python -m repro.net.node`` forks them all.
 
-One OS process per model node.  The process rebuilds its protocol runtime
-from ``(spec, node_id)`` alone (hash-derived RNG streams make that
-deterministic across machines), serves a TCP listener for inbound data
-frames, and obeys the coordinator's control frames:
+One OS process per model node, all forked from one *launcher*
+interpreter per trial.  The launcher imports this module (and through it
+the protocol code) once, then forks the trial's ``n`` nodes; a node
+never pays an interpreter start or an import of its own.  Each forked
+node rebuilds its protocol runtime from ``(spec, node_id)`` alone
+(hash-derived RNG streams make that deterministic across machines),
+serves a TCP listener for inbound data frames, and obeys the
+coordinator's control frames:
 
 ``peers``
     The port map.  After this the node can dial any peer lazily.
@@ -20,21 +24,26 @@ frames, and obeys the coordinator's control frames:
     frames are still in flight when the control frame arrives), run
     ``on_stop``, and answer with outputs and frame counters.
 
-The node never sleeps its way around races: every wait is a bounded
-condition wait (``round_timeout``), every failure path raises, and the
-traceback lands on stderr — which the driver redirects into the per-node
-journal file.  Coordinator EOF means the trial is over (success or not);
-the node simply exits.
+The node's ``hello`` frame carries its pid, which is how the coordinator
+knows whom to SIGKILL.  The node never sleeps its way around races:
+every wait is a bounded condition wait (``round_timeout``), every
+failure path raises, and the traceback lands on stderr — which the
+launcher redirects into the per-node journal file ``node-<u>.log``.
+Coordinator EOF means the trial is over (success or not); the node
+simply exits.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
+import os
+import signal
 import sys
+import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 from ..chaos.script import DeliveryFilter
 from ..errors import WireError
@@ -69,6 +78,13 @@ class InboxBuffer:
                 frame = await stream.recv()
             except WireError:
                 return  # malformed peer stream; drop the connection
+            except asyncio.CancelledError:
+                # The node is exiting and asyncio.run cancels this handler.
+                # Python 3.11-3.12 log a cancelled connection handler as
+                # an error (3.13 does not), burying real tracebacks in
+                # node-<u>.log; nothing awaits this task, so returning
+                # loses no cancellation.
+                return
             if frame is None:
                 return
             if frame.get("t") != "m":
@@ -132,11 +148,14 @@ class WireNode:
         self.node_id = node_id
         self.spec = spec
         self.runtime: NodeRuntime = spec.make_runtime(node_id)
-        self.inbox = InboxBuffer()
+        #: Made in :meth:`run`, on the running loop: Python 3.9 binds an
+        #: asyncio primitive to a loop when it is constructed.
+        self.inbox: InboxBuffer
         self._peers: Optional[PeerBook] = None
 
     async def run(self, coord_host: str, coord_port: int) -> None:
         spec = self.spec
+        self.inbox = InboxBuffer()
         server = await asyncio.start_server(
             self.inbox.serve, host=spec.host, port=0
         )
@@ -148,7 +167,12 @@ class WireNode:
         heartbeat_task = asyncio.create_task(heartbeat.run())
         try:
             await control.send(
-                {"t": "hello", "node": self.node_id, "port": listen_port}
+                {
+                    "t": "hello",
+                    "node": self.node_id,
+                    "port": listen_port,
+                    "pid": os.getpid(),
+                }
             )
             await self._control_loop(control)
         finally:
@@ -264,27 +288,83 @@ class WireNode:
         )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.net.node",
-        description="one wire-trial node process (spawned by the driver)",
-    )
-    parser.add_argument("--node-id", type=int, required=True)
-    parser.add_argument(
-        "--coord", required=True, help="coordinator address, HOST:PORT"
-    )
-    parser.add_argument(
-        "--spec", required=True, help="WireSpec as a JSON object"
-    )
-    args = parser.parse_args(argv)
-    spec = WireSpec.from_dict(json.loads(args.spec))
-    host, port = split_host_port(args.coord)
-    node = WireNode(args.node_id, spec)
+#: Seconds the launcher gives its nodes to exit on their own once the
+#: driver closes its stdin; nodes still running after that are SIGKILLed.
+#: An ok trial's survivors exit within milliseconds of their ``bye``.
+EXIT_GRACE = 0.5
+
+
+def _node_process(
+    node_id: int, spec: WireSpec, host: str, port: int, journal_dir: Path
+) -> NoReturn:
+    """Body of one forked node: journal to ``node-<u>.log``, run, exit.
+
+    Never returns into the launcher's code: every path ends in
+    ``os._exit`` — 0 after a clean run, 1 after a journalled traceback.
+    """
+    code = 1
     try:
-        asyncio.run(node.run(host, port))
+        log = os.open(
+            journal_dir / f"node-{node_id}.log",
+            os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+            0o644,
+        )
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(log)
+        asyncio.run(WireNode(node_id, spec).run(host, port))
+        code = 0
     except Exception:  # journaled: stderr is the per-node journal
-        traceback.print_exc(file=sys.stderr)
-        return 1
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _reap(pids: Dict[int, int]) -> Dict[int, int]:
+    """Wait up to ``EXIT_GRACE`` for the nodes to exit, SIGKILL the rest,
+    reap all; return their exit statuses (``Popen.returncode`` style:
+    ``-signal`` for a death by signal)."""
+    exits: Dict[int, int] = {}
+    deadline = time.monotonic() + EXIT_GRACE
+    for u, pid in pids.items():
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.002)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        exits[u] = os.waitstatus_to_exitcode(status)
+    return exits
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """The launcher: ``python -m repro.net.node JOURNAL_DIR HOST:PORT SPEC``.
+
+    ``SPEC`` is the trial's :class:`WireSpec` as a JSON object.  Forks
+    the ``n`` nodes, then blocks reading stdin.  The driver closes stdin
+    at teardown (or dies, which closes it too); the launcher then reaps
+    every node (:func:`_reap`), prints ``{"exits": {"<u>": status}}`` as
+    one JSON line on stdout, and exits.  It reaps nothing before that,
+    so a pid the coordinator SIGKILLs can never have been reused.
+    """
+    journal_dir, coord, spec_json = sys.argv[1:] if argv is None else argv
+    spec = WireSpec.from_dict(json.loads(spec_json))
+    host, port = split_host_port(coord)
+    spec.protocol_factory(spec.seed)  # import the protocol once, pre-fork
+    pids: Dict[int, int] = {}
+    try:
+        for u in range(spec.n):
+            pid = os.fork()
+            if pid == 0:
+                _node_process(u, spec, host, port, Path(journal_dir))
+            pids[u] = pid
+        sys.stdin.buffer.read()
+    finally:
+        exits = _reap(pids)
+    report = {"exits": {str(u): s for u, s in sorted(exits.items())}}
+    sys.stdout.write(json.dumps(report) + "\n")
     return 0
 
 

@@ -190,10 +190,11 @@ class WireRunSummary:
 class WireCoordinator:
     """Drives one wire trial's control plane over an asyncio server.
 
-    ``kill`` is the fault injector (the driver binds it to SIGKILLing the
-    node's OS process); ``journal`` receives one dict per control-plane
-    event (the driver buffers them and writes JSONL after the event loop
-    exits, keeping file I/O out of async code); ``kill_after`` is a test
+    ``kill`` is the fault injector (the driver binds it to SIGKILLing
+    ``pids[node]``, the pid the node announced in its ``hello``);
+    ``journal`` receives one dict per control-plane event (the driver
+    buffers them and writes JSONL after the event loop exits, keeping
+    file I/O out of async code); ``kill_after`` is a test
     hook — ``(node, round)`` SIGKILLs an *unscripted* node after that
     round's barrier, which must surface via the heartbeat detector.
     """
@@ -219,8 +220,12 @@ class WireCoordinator:
         self._streams: Dict[int, FrameStream] = {}
         self._queues: "Dict[int, asyncio.Queue[Dict[str, Any]]]" = {}
         self._ports: Dict[int, int] = {}
+        #: Each node's OS pid, from its ``hello`` frame (the kill target).
+        self.pids: Dict[int, int] = {}
         self._eof: Set[int] = set()
-        self._all_hello = asyncio.Event()
+        #: Made in :meth:`run`, on the running loop: Python 3.9 binds an
+        #: asyncio primitive to a loop when it is constructed.
+        self._all_hello: asyncio.Event
         self._poll = min(_POLL_CEIL, max(_POLL_FLOOR, spec.heartbeat_interval))
         self.outputs: Dict[int, Dict[str, Any]] = {}
         self.frames: Dict[int, Dict[str, int]] = {}
@@ -243,6 +248,7 @@ class WireCoordinator:
             or hello.get("t") != "hello"
             or "node" not in hello
             or "port" not in hello
+            or "pid" not in hello
         ):
             stream.close()
             return
@@ -252,9 +258,17 @@ class WireCoordinator:
             return
         self._streams[node] = stream
         self._ports[node] = int(hello["port"])  # type: ignore[arg-type]
+        self.pids[node] = int(hello["pid"])  # type: ignore[arg-type]
         self._queues[node] = asyncio.Queue()
         self.detector.register(node)
-        self._journal({"event": "hello", "node": node, "port": self._ports[node]})
+        self._journal(
+            {
+                "event": "hello",
+                "node": node,
+                "port": self._ports[node],
+                "pid": self.pids[node],
+            }
+        )
         if len(self._streams) == self.spec.n:
             self._all_hello.set()
         await self._pump(node, stream)
@@ -337,6 +351,7 @@ class WireCoordinator:
     async def run(self, server_socket: Any) -> WireRunSummary:
         """Run one wire trial to completion; raises ``WireError`` on any
         system-layer fault (never hangs past its timeouts)."""
+        self._all_hello = asyncio.Event()
         server = await asyncio.start_server(self._handle, sock=server_socket)
         try:
             return await self._run_trial()

@@ -147,7 +147,7 @@ class WireSpec(Scenario):
         )
 
     # ------------------------------------------------------------------
-    # JSON round-trip (spec travels to the node processes as argv)
+    # JSON round-trip (spec travels to the node launcher as argv)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
